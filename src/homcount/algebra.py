@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import factorial
 from typing import Optional, Sequence
 
 from homcount.graphs import (
@@ -16,6 +18,7 @@ from homcount.graphs import (
     RootedPattern,
     canonical_code,
     connected_components,
+    count_maps,
 )
 
 TREEWIDTH_GUARD = 14
@@ -219,78 +222,58 @@ def _set_partitions(n: int):
         yield from rec(1, 0)
 
 
+def _mobius_weight(assign: Sequence[int]) -> int:
+    """Möbius function of the partition lattice from the discrete partition
+    up to ``assign``: the product over blocks of (-1)^(s-1) (s-1)!."""
+    sizes: dict[int, int] = {}
+    for b in assign:
+        sizes[b] = sizes.get(b, 0) + 1
+    w = 1
+    for s in sizes.values():
+        w *= (-1) ** (s - 1) * factorial(s - 1)
+    return w
+
+
+@lru_cache(maxsize=256)
+def quotient_classes(p: RootedPattern) -> tuple[tuple[int, RootedPattern], ...]:
+    """Loop-free label-consistent quotients of p, one per rooted-isomorphism
+    class, each with the Möbius weight summed over the partitions in its class.
+
+    Ordered by rooted canonical code; the representative is the first quotient
+    of its class in partition order. Summing is exact for hom-count sums
+    because isomorphic quotients have identical hom counts. Guarded:
+    Bell-number enumeration beyond 9 vertices is refused.
+    """
+    n = p.graph.n
+    if n > SPASM_GUARD:
+        raise SizeGuardError(f"spasm enumeration limited to {SPASM_GUARD} vertices, got {n}")
+    classes: dict[bytes, tuple[int, RootedPattern]] = {}
+    for assign in _set_partitions(n):
+        q = quotient_rooted(p, Partition(assign))
+        if q is None:
+            continue
+        code = canonical_code(q.graph, q.root)
+        weight, rep = classes.get(code, (0, q))
+        classes[code] = (weight + _mobius_weight(assign), rep)
+    return tuple(classes[c] for c in sorted(classes))
+
+
 def spasm(p: RootedPattern) -> tuple[RootedPattern, ...]:
     """All loop-free label-consistent quotients of p up to rooted isomorphism.
 
     Contains p itself. Deterministically ordered by rooted canonical code.
     Guarded: Bell-number enumeration beyond 9 vertices is refused.
     """
-    n = p.graph.n
-    if n > SPASM_GUARD:
-        raise SizeGuardError(f"spasm enumeration limited to {SPASM_GUARD} vertices, got {n}")
-    out: dict[bytes, RootedPattern] = {}
-    for assign in _set_partitions(n):
-        q = quotient_rooted(p, Partition(assign))
-        if q is None:
-            continue
-        code = canonical_code(q.graph, q.root)
-        if code not in out:
-            out[code] = q
-    return tuple(out[c] for c in sorted(out))
+    return tuple(q for _, q in quotient_classes(p))
 
 
 # --- cores and automorphisms --------------------------------------------------
 
-def _hom_exists(g: Graph, h: Graph, fixed: Optional[dict[int, int]] = None) -> bool:
-    """Backtracking search for any label/edge-preserving map g -> h."""
-    order = []
-    seen = set()
-    for comp in connected_components(g):
-        stack = [comp[0]]
-        seen.add(comp[0])
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in g.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    img = [-1] * g.n
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        forced = fixed.get(u) if fixed else None
-        for x in range(h.n) if forced is None else [forced]:
-            if h.labels[x] != g.labels[u]:
-                continue
-            ok = True
-            for w in g.adjacency[u]:
-                if img[w] != -1 and not (h.adj_masks[x] >> img[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                img[u] = x
-                if rec(i + 1):
-                    return True
-                img[u] = -1
-        return False
-
-    return rec(0)
-
 
 def _root_images(p: RootedPattern, target_vertices: list[int]) -> list[int]:
     """Vertices of the induced core candidate that some retraction sends the root to."""
-    g = p.graph
-    sub = g.induced_subgraph(target_vertices)
-    hits = []
-    for i in range(sub.n):
-        if sub.labels[i] != p.root_label:
-            continue
-        if _hom_exists(g, sub, fixed={p.root: i}):
-            hits.append(i)
-    return hits
+    sub = p.graph.induced_subgraph(target_vertices)
+    return [i for i in range(sub.n) if count_maps(p.graph, sub, p.root, i, first=True)]
 
 
 def core_of(p: RootedPattern) -> RootedPattern:
@@ -305,11 +288,11 @@ def core_of(p: RootedPattern) -> RootedPattern:
     n = g.n
     for size in range(1, n + 1):
         best: Optional[tuple[bytes, RootedPattern]] = None
-        for subset in _subsets_of_size(n, size):
+        for subset in combinations(range(n), size):
             sub = g.induced_subgraph(subset)
             if size > 1 and len(connected_components(sub)) > 1:
                 continue
-            if not _hom_exists(g, sub):
+            if not count_maps(g, sub, first=True):
                 continue
             for r in _root_images(p, subset):
                 cand = RootedPattern(sub, r)
@@ -321,60 +304,9 @@ def core_of(p: RootedPattern) -> RootedPattern:
     raise AssertionError("unreachable: the identity map always exists")
 
 
-def _subsets_of_size(n: int, size: int):
-    from itertools import combinations
-
-    yield from combinations(range(n), size)
-
-
 def automorphism_count(p: RootedPattern) -> int:
     """Number of root-preserving isomorphisms from p onto itself (>= 1)."""
-    g = p.graph
-    order = []
-    seen = {p.root}
-    stack = [p.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    img = [-1] * g.n
-    used = [False] * g.n
-    count = 0
-
-    def rec(i: int):
-        nonlocal count
-        if i == len(order):
-            count += 1
-            return
-        u = order[i]
-        candidates = [p.root] if i == 0 else range(g.n)
-        for x in candidates:
-            if used[x] or g.labels[x] != g.labels[u] or g.degree(x) != g.degree(u):
-                continue
-            ok = True
-            for w in g.adjacency[u]:
-                if img[w] != -1 and not (g.adj_masks[x] >> img[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                # bijective and edge-reflecting: non-neighbors must stay apart
-                for w in range(g.n):
-                    if img[w] != -1 and not (g.adj_masks[u] >> w & 1) and (g.adj_masks[x] >> img[w] & 1):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            img[u] = x
-            used[x] = True
-            rec(i + 1)
-            img[u] = -1
-            used[x] = False
-
-    rec(0)
-    return count
+    return count_maps(p.graph, p.graph, p.root, p.root, bijective=True)
 
 
 # --- exact treewidth ----------------------------------------------------------

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from homcount.algebra import SizeGuardError
 from homcount.counting import (
     CountOverflowError,
+    _check_anchor,
     hom_count_brute,
     hom_count_dp,
     inj_vector,
@@ -54,8 +55,6 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
     sub.add_argument("--threads", type=int, default=1,
                      help="parallel workers for per-graph work (0 = auto)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="accepted for interface stability; all algorithms are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,6 +249,8 @@ def _cmd_count(args) -> int:
     alphabet = LabelAlphabet()
     pattern = _first_pattern(args.pattern, alphabet)
     g = _first_graph(args.graph, alphabet)
+    if args.anchor is not None:
+        _check_anchor(args.anchor, g)
     result: dict = {"graph": g.id, "pattern": pattern.id, "mode": args.mode}
     if args.mode == "hom":
         if args.engine == "brute":

@@ -10,20 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Optional, Sequence, Union
 
 from homcount.algebra import (
-    SPASM_GUARD,
-    Partition,
-    SizeGuardError,
-    _set_partitions,
     automorphism_count,
     nice_decomposition,
-    quotient_rooted,
+    quotient_classes,
     treewidth,
 )
-from homcount.graphs import Graph, RootedPattern, connected_components
+from homcount.graphs import Graph, RootedPattern, _bits, count_maps
 
 MAX_COUNT = (1 << 127) - 1
 
@@ -54,48 +49,6 @@ class CountVector:
             assert all(c >= 0 for c in self.counts)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-vertex count columns for a fixed ordered pattern list."""
-
-    pattern_ids: tuple[str, ...]
-    graph_ids: tuple[str, ...]
-    columns: dict[str, tuple[CountVector, ...]]  # graph id -> one vector per pattern
-
-    def rows(self, graph_id: str, labels: Sequence[int]):
-        """Yield (vertex, label, tuple of counts) rows in vertex order."""
-        vecs = self.columns[graph_id]
-        n = len(labels)
-        for v in range(n):
-            row = tuple(
-                (vec.counts[v] if vec.counts is not None else 0) if not vec.overflow else None
-                for vec in vecs
-            )
-            yield v, labels[v], row
-
-
-@dataclass(frozen=True)
-class _TargetIndex:
-    all_mask: int
-    adj_masks: tuple[int, ...]
-    label_masks: dict
-
-
-@lru_cache(maxsize=512)
-def _target_index(g: Graph) -> _TargetIndex:
-    label_masks: dict = {}
-    for v, lab in enumerate(g.labels):
-        label_masks[lab] = label_masks.get(lab, 0) | (1 << v)
-    return _TargetIndex((1 << g.n) - 1, g.adj_masks, label_masks)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _check(value: int) -> int:
     if value > MAX_COUNT:
         raise CountOverflowError(f"count exceeds 2**127-1")
@@ -105,30 +58,9 @@ def _check(value: int) -> int:
 # --- brute force ------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _brute_plan(pg: Graph, start: int):
-    """Visit order covering all components plus, per vertex, the order-positions
-    of its earlier neighbors."""
-    order: list[int] = []
-    seen = [False] * pg.n
-    comps = connected_components(pg)
-    comps.sort(key=lambda c: (start not in c, c))
-    for comp in comps:
-        first = start if start in comp else comp[0]
-        queue = [first]
-        seen[first] = True
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in pg.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    priors = tuple(
-        tuple(pos[w] for w in pg.adjacency[v] if pos[w] < pos[v]) for v in order
-    )
-    return tuple(order), priors
+def _check_anchor(anchor: int, g: Graph) -> None:
+    if not 0 <= anchor < g.n:
+        raise ValueError(f"anchor {anchor} out of range for a graph with {g.n} vertices")
 
 
 def hom_count_brute(pattern: PatternLike, g: Graph, anchor: Optional[int] = None) -> int:
@@ -140,38 +72,11 @@ def hom_count_brute(pattern: PatternLike, g: Graph, anchor: Optional[int] = None
     if isinstance(pattern, RootedPattern):
         if anchor is None:
             raise ValueError("rooted pattern requires an anchor")
-        pg, start = pattern.graph, pattern.root
-    else:
-        if anchor is not None:
-            raise ValueError("unrooted pattern takes no anchor")
-        pg, start = pattern, 0
-    if pg.n == 0:
-        return 1
-    idx = _target_index(g)
-    order, priors = _brute_plan(pg, start)
-    labels = tuple(pg.labels[v] for v in order)
-    last = pg.n - 1
-    assigned = [0] * pg.n
-
-    def candidates(i: int) -> int:
-        mask = idx.label_masks.get(labels[i], 0)
-        for q in priors[i]:
-            mask &= idx.adj_masks[assigned[q]]
-        return mask
-
-    def rec(i: int) -> int:
-        mask = candidates(i)
-        if i == 0 and anchor is not None:
-            mask &= 1 << anchor
-        if i == last:
-            return mask.bit_count()
-        total = 0
-        for a in _bits(mask):
-            assigned[i] = a
-            total += rec(i + 1)
-        return total
-
-    return _check(rec(0))
+        _check_anchor(anchor, g)
+        return _check(count_maps(pattern.graph, g, pattern.root, anchor))
+    if anchor is not None:
+        raise ValueError("unrooted pattern takes no anchor")
+    return _check(count_maps(pattern, g))
 
 
 # --- tree-decomposition dynamic programming -----------------------------------
@@ -224,7 +129,6 @@ def _dp_plan(pg: Graph, root: Optional[int]):
 def _run_dp(pg: Graph, root: Optional[int], g: Graph):
     """Execute the DP; returns (per-anchor counts or None, unrooted total)."""
     steps, capture = _dp_plan(pg, root)
-    idx = _target_index(g)
     n = g.n
     if n == 0:
         return (None, 1 if pg.n == 0 else 0) if root is None else ((), 0)
@@ -241,8 +145,8 @@ def _run_dp(pg: Graph, root: Optional[int], g: Graph):
             tables[ci] = None
             p = pows[step.pos]
             pn = p * n
-            base = idx.label_masks.get(step.label, 0)
-            adj = idx.adj_masks
+            base = g.label_masks.get(step.label, 0)
+            adj = g.adj_masks
             priors = [pows[q] for q in step.prior_positions]
             new: dict[int, int] = {}
             for key, cnt in child.items():  # type: ignore[union-attr]
@@ -308,38 +212,13 @@ def hom_count_dp(pattern: PatternLike, g: Graph) -> CountVector:
 # --- injective and subgraph counts ---------------------------------------------
 
 
-def _mobius_weight(assign: Sequence[int]) -> int:
-    sizes: dict[int, int] = {}
-    for b in assign:
-        sizes[b] = sizes.get(b, 0) + 1
-    w = 1
-    for s in sizes.values():
-        w *= (-1) ** (s - 1) * factorial(s - 1)
-    return w
-
-
-@lru_cache(maxsize=256)
-def _quotient_terms(p: RootedPattern):
-    """Loop-free label-consistent quotients of p with partition-lattice weights."""
-    n = p.graph.n
-    if n > SPASM_GUARD:
-        raise SizeGuardError(
-            f"injective counts need partition enumeration; limited to {SPASM_GUARD} vertices"
-        )
-    terms = []
-    for assign in _set_partitions(n):
-        q = quotient_rooted(p, Partition(assign))
-        if q is None:
-            continue
-        terms.append((_mobius_weight(assign), q))
-    return tuple(terms)
-
-
 def inj_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
     """Injective homomorphism counts at every anchor, by Möbius inversion over
     the partition lattice of quotients."""
     acc = [0] * g.n
-    for weight, q in _quotient_terms(p):
+    for weight, q in quotient_classes(p):
+        if not weight:
+            continue
         counts = hom_count_dp(q, g).counts
         assert counts is not None
         for v in range(g.n):
@@ -352,6 +231,7 @@ def inj_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
 
 def inj_count(p: RootedPattern, g: Graph, anchor: int) -> int:
     """Number of injective homomorphisms sending the root to ``anchor``."""
+    _check_anchor(anchor, g)
     return inj_vector(p, g)[anchor]
 
 
@@ -372,6 +252,7 @@ def sub_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
 
 
 def sub_count(p: RootedPattern, g: Graph, anchor: int) -> int:
+    _check_anchor(anchor, g)
     return sub_vector(p, g)[anchor]
 
 
@@ -398,11 +279,3 @@ def hom_vector(
         out.append(vec)
     return out
 
-
-def feature_matrix(
-    patterns: Sequence[RootedPattern], graphs: Sequence[Graph], mode: str = "hom"
-) -> FeatureMatrix:
-    columns = {g.id: tuple(hom_vector(patterns, g, mode)) for g in graphs}
-    return FeatureMatrix(
-        tuple(p.id for p in patterns), tuple(g.id for g in graphs), columns
-    )

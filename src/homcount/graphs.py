@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 
@@ -102,6 +102,14 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def label_masks(self) -> dict[int, int]:
+        """Per label, the bitmask of the vertices carrying it."""
+        masks: dict[int, int] = {}
+        for v, lab in enumerate(self.labels):
+            masks[lab] = masks.get(lab, 0) | (1 << v)
+        return masks
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -364,71 +372,106 @@ def is_isomorphic(
 ) -> bool:
     """Label- and edge-preserving bijection test; roots must map to each other.
 
-    Backtracking with degree/label pruning; fine up to ~12 vertices, allowed
-    (but slow) beyond.
+    Cheap invariants (sizes and the (label, degree) multiset) first, then
+    one bijective :func:`count_maps` search that stops at the first map.
     """
     if (g_root is None) != (h_root is None):
         raise ValueError("either both or neither root must be given")
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
-    if sorted(g.labels) != sorted(h.labels):
-        return False
     gdeg = sorted((g.labels[v], g.degree(v)) for v in range(g.n))
     hdeg = sorted((h.labels[v], h.degree(v)) for v in range(h.n))
     if gdeg != hdeg:
         return False
+    start = 0 if g_root is None else g_root
+    return count_maps(g, h, start, h_root, bijective=True, first=True) > 0
 
-    # order g's vertices so each one (after the first) touches a mapped vertex
+
+# --- map search -----------------------------------------------------------
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=512)
+def _search_plan(pg: Graph, start: int):
+    """Breadth-first visit order over all components, ``start`` first, plus,
+    per visited vertex, the order positions of its earlier neighbours."""
     order: list[int] = []
-    placed = set()
-    start = g_root if g_root is not None else 0
-    comps = connected_components(g)
+    seen = [False] * pg.n
+    comps = connected_components(pg)
     comps.sort(key=lambda c: (start not in c, c))
     for comp in comps:
         first = start if start in comp else comp[0]
-        stack = [first]
-        placed.add(first)
-        while stack:
-            u = stack.pop()
+        queue = [first]
+        seen[first] = True
+        while queue:
+            u = queue.pop(0)
             order.append(u)
-            for w in g.adjacency[u]:
-                if w not in placed:
-                    placed.add(w)
-                    stack.append(w)
+            for w in pg.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    priors = tuple(
+        tuple(pos[w] for w in pg.adjacency[v] if pos[w] < pos[v]) for v in order
+    )
+    return tuple(order), priors
 
-    mapping = [-1] * g.n
-    used = [False] * h.n
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        if i == 0 and g_root is not None:
-            candidates: Iterable[int] = [h_root]
-        else:
-            candidates = range(h.n)
-        for x in candidates:
-            if used[x] or h.labels[x] != g.labels[u] or h.degree(x) != g.degree(u):
-                continue
-            ok = True
-            for w in g.adjacency[u]:
-                if mapping[w] != -1 and not h.has_edge(x, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                # edge-bijectivity: mapped non-neighbors must stay non-adjacent
-                for w in range(g.n):
-                    if mapping[w] != -1 and w not in g.adjacency[u] and h.has_edge(x, mapping[w]):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[u] = x
-            used[x] = True
-            if extend(i + 1):
-                return True
-            mapping[u] = -1
-            used[x] = False
-        return False
+def count_maps(
+    pg: Graph,
+    g: Graph,
+    start: int = 0,
+    anchor: Optional[int] = None,
+    bijective: bool = False,
+    first: bool = False,
+) -> int:
+    """Number of label- and edge-preserving vertex maps from ``pg`` to ``g``.
 
-    return extend(0)
+    The one backtracking map search. ``anchor`` pins the image of ``start``.
+    ``bijective`` counts isomorphisms: a bijective homomorphism between graphs
+    with equal vertex and edge counts maps edges onto edges, so used target
+    vertices are masked out and candidates must match (label, degree).
+    ``first`` stops at the first map found; the result is then nonzero
+    exactly when some map exists.
+    """
+    if bijective and (pg.n != g.n or len(pg.edges) != len(g.edges)):
+        return 0
+    if pg.n == 0:
+        return 1
+    order, priors = _search_plan(pg, start)
+    if bijective:
+        classes: dict[tuple[int, int], int] = {}
+        for v in range(g.n):
+            key = (g.labels[v], g.degree(v))
+            classes[key] = classes.get(key, 0) | (1 << v)
+        base = [classes.get((pg.labels[v], pg.degree(v)), 0) for v in order]
+    else:
+        base = [g.label_masks.get(pg.labels[v], 0) for v in order]
+    if anchor is not None:
+        base[0] &= 1 << anchor
+    adj = g.adj_masks
+    last = pg.n - 1
+    assigned = [0] * pg.n
+
+    def rec(i: int, used: int) -> int:
+        mask = base[i] & ~used
+        for q in priors[i]:
+            mask &= adj[assigned[q]]
+        if i == last:
+            return mask.bit_count()
+        total = 0
+        for a in _bits(mask):
+            assigned[i] = a
+            total += rec(i + 1, used | 1 << a if bijective else 0)
+            if first and total:
+                break
+        return total
+
+    return rec(0, 0)

@@ -2,8 +2,8 @@
 
 Feature output is CSV with one row per (graph, vertex): id columns, the vertex
 label, then one column per pattern in file order. The log-z normalization
-stores per-column statistics in a ``#`` header block so raw counts can be
-reconstructed exactly from the file alone.
+stores per-column statistics in a ``#`` header block, from which raw counts up
+to 10**13 can be reconstructed exactly from the file alone.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
 
     Normalized cells hold z(log(1+c)); the header carries exact float reprs of
     each column's mean/std so counts are reconstructible:
-    c = round(exp(z * std + mean) - 1).
+    c = round(exp(z * std + mean) - 1). That is exact for counts up to 10**13;
+    see :func:`reconstruct_count` for larger ones.
     """
     out.write(f"# mode: {table.mode}\n")
     out.write(f"# normalize: {table.normalize}\n")
@@ -238,7 +239,12 @@ def read_transforms(path_or_lines) -> dict[str, ColumnTransform]:
 
 
 def reconstruct_count(z: float, t: ColumnTransform) -> int:
-    """Invert the log-z transform back to the raw integer count."""
+    """Invert the log-z transform back to the raw integer count.
+
+    Exact for counts up to 10**13. Above that the float64 round trip may land
+    on a neighbouring integer: around 10**14 it does for some counts in
+    columns with large z-scores, and from 10**15 on for most counts.
+    """
     if t.constant:
         raise ValueError("constant columns carry no information")
     return round(math.expm1(z * t.std + t.mean))

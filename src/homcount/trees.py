@@ -126,7 +126,8 @@ def hom_pattern_tree(
     the flattened pattern at every vertex.
 
     ``cache`` memoizes attachment-pattern count vectors across trees of one
-    enumeration run; keys are (pattern id index identity, graph id).
+    enumeration run; keys are the (pattern, graph) objects themselves, so two
+    different graphs sharing an id never share counts.
     """
     if cache is None:
         cache = {}
@@ -134,7 +135,7 @@ def hom_pattern_tree(
     adjacency = g.adjacency
 
     def pattern_counts(i: int) -> tuple[int, ...]:
-        key = (id(tree.patterns[i]), g.id)
+        key = (tree.patterns[i], g)
         got = cache.get(key)
         if got is None:
             got = hom_count_dp(tree.patterns[i], g).counts

@@ -185,6 +185,20 @@ class TestWitness:
         assert report["witness"]["counts"] == [0, 4]
         assert report["forward_violations"] == []
 
+    def test_same_id_pair_finds_witness(self, capsys, tmp_path, fixture_files, k3_file):
+        # two different graphs that share an id must not share attachment counts
+        paths = []
+        for i, path in enumerate(fixture_files):
+            with open(path, encoding="utf-8") as fh:
+                rec = json.load(fh)
+            rec["id"] = "g"
+            paths.append(write(tmp_path / f"same{i}.jsonl", json.dumps(rec) + "\n"))
+        code, out, _ = run(capsys, "witness", *paths, "--patterns", k3_file)
+        assert code == 0
+        report = json.loads(out)
+        assert report["distinguished"] is True
+        assert report["witness"]["counts"] == [12, 0]
+
     def test_same_graph_no_witness(self, capsys, fig2_files, k3_file):
         a, _ = fig2_files
         code, out, _ = run(capsys, "witness", a, a, "--patterns", k3_file,
@@ -208,6 +222,20 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--pattern", k3_file, "--graph", a,
                            "--engine", "brute", "--anchor", "0")
         assert json.loads(out)["count"] == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--anchor", "-4"],
+        ["--anchor", "6"],
+        ["--engine", "brute", "--anchor", "6"],
+        ["--engine", "brute", "--anchor", "-1"],
+        ["--mode", "sub", "--anchor", "-1"],
+    ])
+    def test_anchor_out_of_range_exit_2(self, capsys, fixture_files, k3_file, extra):
+        a, _ = fixture_files
+        code, out, err = run(capsys, "count", "--pattern", k3_file, "--graph", a, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid: anchor")
 
     def test_sub_mode(self, capsys, fixture_files, k3_file):
         a, _ = fixture_files

@@ -10,7 +10,6 @@ from homcount.counting import (
     MAX_COUNT,
     CountOverflowError,
     CountVector,
-    feature_matrix,
     hom_count_brute,
     hom_count_dp,
     hom_vector,
@@ -78,6 +77,16 @@ class TestBruteForce:
             hom_count_brute(clique(3, root=0), G1)
         with pytest.raises(ValueError):
             hom_count_brute(clique(3), G1, 0)
+
+    def test_anchor_out_of_range(self):
+        k3 = clique(3, root=0)
+        for anchor in (-1, -6, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                hom_count_brute(k3, G1, anchor)
+            with pytest.raises(ValueError, match="out of range"):
+                inj_count(k3, G1, anchor)
+            with pytest.raises(ValueError, match="out of range"):
+                sub_count(k3, G1, anchor)
 
     def test_unrooted_scalar(self):
         assert hom_count_brute(clique(3), G1) == 12  # 2 triangles x 6 maps each
@@ -329,11 +338,14 @@ class TestVectorAndMatrix:
         assert vecs[0].counts == (2,) * 6
 
     def test_empty_pattern_set(self):
-        m = feature_matrix([], [G1, H1])
-        assert m.pattern_ids == ()
-        rows = list(m.rows("g1", G1.labels))
+        from homcount.pipeline import compute_features
+
+        assert hom_vector([], G1) == []
+        table = compute_features([G1, H1], [])
+        assert table.pattern_ids == ()
+        rows = [row for row in table.rows if row[0] == "g1"]
         assert len(rows) == 6
-        assert rows[0][2] == ()
+        assert rows[0][3] == ()
 
     def test_mode_sub(self):
         vecs = hom_vector([clique(3, root=0)], G1, mode="sub")

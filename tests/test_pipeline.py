@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import random
@@ -28,6 +29,24 @@ def random_graph(rng, n, p, gid, labels=2):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     labs = tuple(rng.randrange(labels) for _ in range(n))
     return Graph(gid, n, labs, normalize_edges(edges))
+
+
+def assert_reconstructs(graphs, pats):
+    """Every raw count comes back exactly from the log-z CSV alone."""
+    raw = compute_features(graphs, pats, normalize="none")
+    table = compute_features(graphs, pats, normalize="log-z")
+    buf = io.StringIO()
+    write_csv(table, buf)
+    lines = buf.getvalue().splitlines()
+    transforms = read_transforms(lines)
+    data = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    raw_by_key = {(r[0], r[1]): r[3] for r in raw.rows}
+    for row in data:
+        key = (row[0], int(row[1]))
+        for j, name in enumerate(table.column_names):
+            want = raw_by_key[key][j]
+            got = reconstruct_count(float(row[3 + j]), transforms[name])
+            assert got == want
 
 
 def synthetic_dataset(count, seed=0):
@@ -81,23 +100,15 @@ class TestFeatures:
         assert all(r.endswith(",0.0") for r in data_rows)
 
     def test_round_trip_reconstruction(self):
-        graphs = synthetic_dataset(40, seed=7)
-        pats = [path_pattern(1), path_pattern(2)]
-        raw = compute_features(graphs, pats, normalize="none")
-        table = compute_features(graphs, pats, normalize="log-z")
-        buf = io.StringIO()
-        write_csv(table, buf)
-        lines = buf.getvalue().splitlines()
-        transforms = read_transforms(lines)
-        data = [l.split(",") for l in lines if not l.startswith("#")][1:]
-        raw_by_key = {(r[0], r[1]): r[3] for r in raw.rows}
-        names = table.column_names
-        for row in data:
-            key = (row[0], int(row[1]))
-            for j, name in enumerate(names):
-                want = raw_by_key[key][j]
-                got = reconstruct_count(float(row[3 + j]), transforms[name])
-                assert got == want
+        assert_reconstructs(synthetic_dataset(40, seed=7), [path_pattern(1), path_pattern(2)])
+
+    def test_reconstruction_exact_up_to_1e13(self):
+        # length-10 walks from a vertex of K_n number (n-1)^10, up to 19^10 ~ 6.1e12
+        # here; the isolated vertices add zeros, which stretch the z-scores
+        cliques = [Graph(f"k{n}", n, (0,) * n, tuple(itertools.combinations(range(n), 2)))
+                   for n in range(2, 21)]
+        isolated = [Graph(f"v{i}", 1, (0,), ()) for i in range(30)]
+        assert_reconstructs(cliques + isolated, [path_pattern(10), path_pattern(9)])
 
     def test_deterministic_across_threads(self):
         graphs = synthetic_dataset(20, seed=9)
