@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homcount.counting as counting
+from homcount import dp_arrays
 from homcount.algebra import join
 from homcount.counting import (
     MAX_COUNT,
     CountOverflowError,
     CountVector,
+    _dp_plan,
+    _run_dp_dict,
+    _use_arrays,
     hom_count_brute,
     hom_count_dp,
     hom_vector,
@@ -211,7 +216,7 @@ class TestDpMatchesBrute:
             build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)], gid="dstar"), 0
         )
         for pat in (star3, spider, double_star):
-            steps, _ = _dp_plan(pat.graph, pat.root)
+            steps = _dp_plan(pat.graph, pat.root).steps
             assert any(s.kind == "join" for s in steps)
         rng = random.Random(47)
         for _ in range(20):
@@ -222,6 +227,14 @@ class TestDpMatchesBrute:
                 assert vec.counts == tuple(
                     hom_count_brute(pat, g, v) for v in range(g.n)
                 )
+
+    def test_every_root_of_k4(self):
+        # rooted at 3, K4's plan introduces every vertex at digit 0 and reads
+        # priors up to digit 2
+        g = clique(5)
+        for root in range(4):
+            vec = hom_count_dp(clique(4, root=root), g)
+            assert vec.counts == (4 * 3 * 2,) * 5
 
     def test_labeled_patterns_match_oracle(self):
         rng = random.Random(53)
@@ -332,6 +345,27 @@ class TestInjectiveAndSubgraph:
                 assert iv[v] == sv[v] * aut
 
 
+    def test_automorphisms_counted_once_per_pattern(self, monkeypatch):
+        import homcount.algebra as algebra
+
+        searches = []
+        real = algebra.count_maps
+
+        def spy(*args, **kwargs):
+            searches.append(kwargs.get("bijective", False))
+            return real(*args, **kwargs)
+
+        algebra.automorphism_count.cache_clear()
+        monkeypatch.setattr(algebra, "count_maps", spy)
+        rng = random.Random(41)
+        pats = [cycle(5, root=0), clique(3, root=0)]
+        for _ in range(6):
+            g = random_graph(rng, rng.randrange(3, 8), 0.5)
+            for p in pats:
+                sub_vector(p, g)
+        assert searches.count(True) == len(pats)
+
+
 class TestVectorAndMatrix:
     def test_fig1_triangle_column(self):
         vecs = hom_vector([clique(3, root=0)], G1)
@@ -401,3 +435,196 @@ class TestCountingProperties:
         p = cycle(4, root=0)
         total = hom_count_dp(cycle(4), g).total
         assert total == sum(hom_count_brute(p, g, v) for v in range(g.n))
+
+
+# --- the int64 array kernel and the dispatch between the two kernels -----------
+
+
+BRANCHING = (  # decompositions with join steps
+    RootedPattern(build(4, [(0, 1), (0, 2), (0, 3)], gid="star3"), 0),
+    RootedPattern(build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], gid="spider"), 2),
+    RootedPattern(build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)], gid="dstar"), 0),
+)
+KERNEL_PATTERNS = BRANCHING + (clique(3, root=0), clique(4, root=1), cycle(5, root=2), lpath(3))
+
+
+def arrays(pg, root, g):
+    return dp_arrays.run_dp(_dp_plan(pg, root), g)
+
+
+def dicts(pg, root, g):
+    return _run_dp_dict(_dp_plan(pg, root), g)
+
+
+def uses_arrays(pg, root, g):
+    return _use_arrays(pg, _dp_plan(pg, root), g)
+
+
+class TestArrayKernel:
+    """``dp_arrays.run_dp`` called directly, so the size dispatch cannot hide it."""
+
+    def test_rooted_unrooted_and_join_steps_match_brute(self):
+        for pat in BRANCHING:
+            assert any(s.kind == "join" for s in _dp_plan(pat.graph, None).steps)
+        rng = random.Random(61)
+        for trial in range(25):
+            g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.6]),
+                             labels=rng.choice([1, 2]))
+            for pat in KERNEL_PATTERNS:
+                brute = tuple(hom_count_brute(pat, g, v) for v in range(g.n))
+                assert arrays(pat.graph, pat.root, g) == (brute, sum(brute))
+                assert arrays(pat.graph, None, g) == (None, hom_count_brute(pat.graph, g))
+
+    @given(graphs_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_dict_kernel(self, g):
+        for pat in KERNEL_PATTERNS + (cycle(6, root=0),):
+            for root in (pat.root, None):
+                assert arrays(pat.graph, root, g) == dicts(pat.graph, root, g)
+
+    def test_one_entry_chunks(self, monkeypatch):
+        # every introduce split at every entry: the path of tables past one chunk
+        monkeypatch.setattr(dp_arrays, "CHUNK", 1)
+        rng = random.Random(67)
+        for _ in range(15):
+            g = random_graph(rng, rng.randrange(1, 9), 0.5, labels=2)
+            for pat in KERNEL_PATTERNS:
+                for root in (pat.root, None):
+                    assert arrays(pat.graph, root, g) == dicts(pat.graph, root, g)
+
+    def test_counts_are_python_ints(self):
+        counts, total = arrays(cycle(4, root=0).graph, 0, G1)
+        assert counts and all(type(c) is int for c in counts)
+        assert type(total) is int
+        assert type(arrays(clique(3), None, G1)[1]) is int
+
+
+def complete(n, gid="kn"):
+    return build(n, list(itertools.combinations(range(n), 2)), gid=gid)
+
+
+def path_graph(k):
+    """Unrooted path on k vertices."""
+    return build(k, [(i, i + 1) for i in range(k - 1)], gid=f"p{k}")
+
+
+def forbid(monkeypatch, module, kernel):
+    monkeypatch.setattr(module, kernel, lambda *args: pytest.fail(f"{kernel} ran"))
+
+
+class TestDispatch:
+    def test_int64_bound_at_the_boundary(self, monkeypatch):
+        # hom(P_k, K_n) = n (n-1)^(k-1), (n-1)^(k-1) at each end vertex. On
+        # K_100 the bound n * 99^(k-1) reaches 2^63 at k = 10, where the total
+        # is 9.1e19 > 2^63. The size estimate is switched off, so that only
+        # the bound decides.
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        kn = complete(100)
+        for k, bounded in ((9, True), (10, False)):
+            pg = path_graph(k)
+            for root in (None, 0):
+                assert uses_arrays(pg, root, kn) == bounded
+            with monkeypatch.context() as m:
+                if bounded:
+                    forbid(m, counting, "_run_dp_dict")
+                else:
+                    forbid(m, dp_arrays, "run_dp")
+                assert hom_count_dp(pg, kn).total == 100 * 99 ** (k - 1)
+                vec = hom_count_dp(RootedPattern(pg, 0), kn)
+                assert vec.counts == (99 ** (k - 1),) * 100
+                assert vec.total == 100 * 99 ** (k - 1)
+        assert 100 * 99**9 > 1 << 63
+
+    def test_dense_arrays_bound_the_graph_size(self):
+        # n**2 and n**(largest bag - 1) must stay within DENSE_LIMIT = 2**20
+        def circulant(n, reach=10):
+            return build(n, sorted({tuple(sorted((v, (v + j) % n)))
+                                    for v in range(n) for j in range(1, reach + 1)}))
+
+        p8 = path_graph(8)  # largest bag 2
+        assert uses_arrays(p8, 0, circulant(1024))
+        assert not uses_arrays(p8, 0, circulant(1025))
+        k4 = clique(4, root=0)  # largest bag 4
+        assert uses_arrays(k4.graph, 0, complete(101))
+        assert not uses_arrays(k4.graph, 0, complete(102))
+
+    def test_small_tables_on_a_large_graph_take_dict_path(self):
+        # like the benchmark's graph: C3 and C4 save less than importing numpy
+        rng = random.Random(73)
+        edges = set()
+        while len(edges) < 3000:
+            a, b = sorted(rng.sample(range(1000), 2))
+            edges.add((a, b))
+        g = build(1000, sorted(edges))
+        for k, large in ((3, False), (4, False), (5, True), (6, True), (7, True)):
+            assert uses_arrays(cycle(k), 0, g) == large, k
+
+    def test_quick_bound_covers_the_estimate(self):
+        # _use_arrays rejects on the bound before estimating; it must never
+        # reject a call the estimate would accept
+        rng = random.Random(79)
+        patterns = KERNEL_PATTERNS + (cycle(7, root=0), path_graph(6), complete(5))
+        for _ in range(40):
+            n = rng.randrange(2, 300)
+            d = rng.uniform(0, min(n - 1, 12))
+            for pat in patterns:
+                pg, root = (pat.graph, pat.root) if isinstance(pat, RootedPattern) else (pat, None)
+                plan = _dp_plan(pg, root)
+                bound = len(plan.steps) * n**plan.free_introduces
+                bound *= max(d, 1.0) ** plan.linked_introduces
+                assert counting._estimated_entries(plan, n, d) <= bound * (1 + 1e-9)
+
+    def test_disconnected_pattern_takes_exact_path(self, monkeypatch):
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)  # connectivity alone decides
+        two_edges = build(4, [(0, 1), (2, 3)], gid="2k2")
+        kn = complete(100)
+        assert not uses_arrays(two_edges, None, kn)
+        forbid(monkeypatch, dp_arrays, "run_dp")
+        assert hom_count_dp(two_edges, kn).total == (2 * len(kn.edges)) ** 2
+
+    def test_molecule_and_family_inputs_take_dict_path(self):
+        from homcount.algebra import spasm
+        from homcount.families import bowtie_pattern, cfi_pair, cycle_union_pair
+
+        rng = random.Random(71)
+        molecules = []
+        for _ in range(20):  # 40-atom rings with chords, the largest molecule size
+            n = 40
+            edges = {(i - 1, i) for i in range(1, n)} | {(0, n - 1)}
+            while len(edges) < 48:
+                a, b = sorted(rng.sample(range(n), 2))
+                edges.add((a, b))
+            molecules.append(build(n, sorted(edges), labels=[rng.randrange(3) for _ in range(n)]))
+        pairs = [cycle_union_pair(7), cfi_pair(clique(4, root=0))]
+        families = [g for pair in pairs for g in (pair.g, pair.h)]
+        patterns = [clique(3, root=0), clique(4, root=0), bowtie_pattern()]
+        patterns += [cycle(k, root=0) for k in range(3, 9)]
+        patterns += list(spasm(cycle(6, root=0)))
+        for g in molecules + families:
+            for pat in patterns:
+                assert not uses_arrays(pat.graph, pat.root, g), (g.id, pat.id)
+
+    def test_features_run_does_not_import_numpy(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(g.to_record()) + "\n" for g in (G1, H1)))
+        pats = tmp_path / "pats.json"
+        pats.write_text(json.dumps([clique(3, root=0).to_record(), cycle(4, root=0).to_record()]))
+        script = (
+            "import sys\n"
+            "from homcount.cli import main\n"
+            f"rc = main(['features', {str(data)!r}, '--patterns', {str(pats)!r},"
+            f" '--output', {str(tmp_path / 'out.csv')!r}])\n"
+            "print(rc, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["0", "False"]
+        assert (tmp_path / "out.csv").read_text().count("g1,") == 6

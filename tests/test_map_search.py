@@ -1,5 +1,6 @@
-"""Differential tests of the one map search (``count_maps``) and of the quotient
-classes behind ``spasm``, against networkx as an independent implementation."""
+"""Differential tests of the one map search (``count_maps``), canonical codes,
+subgraph counts and the quotient classes behind ``spasm``, against networkx as
+an independent implementation."""
 
 import hashlib
 import itertools
@@ -8,7 +9,7 @@ import random
 import pytest
 
 from homcount.algebra import Partition, automorphism_count, quotient_rooted, spasm
-from homcount.counting import hom_count_brute
+from homcount.counting import hom_count_brute, sub_vector
 from homcount.families import bowtie_pattern, clique_pattern, cycle_pattern
 from homcount.graphs import (
     Graph,
@@ -99,6 +100,43 @@ def test_first_map_agrees_with_brute_existence():
         a = rng.randrange(g.n)
         found = count_maps(p.graph, g, p.root, a, first=True)
         assert (found > 0) == (hom_count_brute(p, g, a) > 0)
+
+
+def test_canonical_code_matches_networkx_plain_and_rooted():
+    rng = random.Random(14)
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 8), rng.random(), rng.randint(1, 2))
+        h = near_copy(rng, g)
+        want = nx.is_isomorphic(to_nx(g), to_nx(h), node_match=same_tag)
+        assert (canonical_code(g) == canonical_code(h)) == want
+        r, s = rng.randrange(g.n), rng.randrange(h.n)
+        want_rooted = nx.is_isomorphic(to_nx(g, r), to_nx(h, s), node_match=same_tag)
+        assert (canonical_code(g, r) == canonical_code(h, s)) == want_rooted
+        outcomes.add((want, want_rooted))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_sub_vector_matches_networkx_monomorphisms():
+    rng = random.Random(15)
+    patterns = [cycle_pattern(4), clique_pattern(3), bowtie_pattern()]
+    patterns += [random_pattern(rng, rng.randint(1, 5), 2) for _ in range(40)]
+    nonzero = 0
+    for p in patterns:
+        tagged = to_nx(p.graph, p.root)
+        auts = sum(1 for _ in iso.GraphMatcher(tagged, tagged, node_match=same_tag)
+                   .isomorphisms_iter())
+        plain = to_nx(p.graph)
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.4, 0.7]), 2)
+        at_root = [0] * g.n
+        matcher = iso.GraphMatcher(to_nx(g), plain, node_match=same_tag)
+        for mapping in matcher.subgraph_monomorphisms_iter():  # g vertex -> p vertex
+            at_root[next(v for v, u in mapping.items() if u == p.root)] += 1
+        want = tuple(c // auts for c in at_root)
+        assert all(c % auts == 0 for c in at_root)
+        assert sub_vector(p, g) == want
+        nonzero += any(want)
+    assert nonzero >= 10
 
 
 SPASM_DIGESTS = {  # sha256 prefix of the joined rooted canonical codes, in spasm order
