@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -272,23 +272,43 @@ def serialize_pattern(p: RootedPattern, alphabet: Optional[LabelAlphabet] = None
     return json.dumps(p.to_record(alphabet), separators=(",", ":"))
 
 
-# --- isomorphism and canonical codes -------------------------------------
+# --- colour refinement ----------------------------------------------------
 
-def _refine_partition(g: Graph, colors: list[int]) -> list[int]:
-    """Equitable refinement: recolor by (color, sorted neighbor colors) until stable."""
-    n = g.n
+def refine(
+    colors: Sequence[int], signatures: Callable[[Sequence[int]], list]
+) -> Iterator[list[int]]:
+    """Colour refinement, the one round loop behind canonical codes, 1-WL/F-WL
+    and folklore k-WL.
+
+    ``signatures(colors)`` returns one hashable, comparable signature per item
+    that starts with the item's own colour. Each round recolours every item by
+    the rank of its signature among the round's sorted distinct signatures and
+    yields the new colours; the generator stops after the first round that
+    splits no class.
+    """
+    classes = len(set(colors))
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adjacency[v])))
-            for v in range(n)
-        ]
-        order = sorted(set(sigs))
-        lookup = {s: i for i, s in enumerate(order)}
-        new = [lookup[s] for s in sigs]
-        if len(order) == len(set(colors)) :
-            return new
-        colors = new
+        sigs = signatures(colors)
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        split = len(rank) > classes
+        classes = len(rank)
+        del sigs, rank  # only one round's signatures are ever alive
+        yield colors
+        if not split:
+            return
 
+
+def neighbour_signatures(adjacency: Sequence[Sequence[int]]):
+    """Signatures for :func:`refine`: an item's colour and the sorted colours
+    of its neighbours."""
+    return lambda colors: [
+        (colors[v], tuple(sorted(colors[u] for u in nbrs)))
+        for v, nbrs in enumerate(adjacency)
+    ]
+
+
+# --- isomorphism and canonical codes -------------------------------------
 
 def _cells(colors: Sequence[int]) -> list[list[int]]:
     buckets: dict[int, list[int]] = {}
@@ -324,7 +344,8 @@ def _are_twins(g: Graph, u: int, v: int) -> bool:
 
 def _canonical_search(g: Graph, colors: list[int], best: list[Optional[bytes]],
                       root: Optional[int]):
-    colors = _refine_partition(g, colors)
+    for colors in refine(colors, neighbour_signatures(g.adjacency)):
+        pass  # keep the stable colouring, the last one yielded
     cells = _cells(colors)
     target = next((c for c in cells if len(c) > 1), None)
     if target is None:

@@ -34,8 +34,9 @@ class EnumerationBudget:
     max_trees: int = 20000
 
     def __post_init__(self):
-        assert self.depth >= 0 and self.backbone >= 1
-        assert self.multiplicity >= 0 and self.max_trees >= 1
+        for name, low in (("depth", 0), ("backbone", 1), ("multiplicity", 0), ("max_trees", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"budget {name} must be at least {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +347,9 @@ def tree_equivalence_report(
     from the same pattern list); ``hom_cache`` shares attachment-count work
     across calls.
     """
+    for v, grf in zip(vertex_pair or (), (g, h)):
+        if not 0 <= v < grf.n:
+            raise ValueError(f"vertex {v} out of range for graph {grf.id} with {grf.n} vertices")
     if trees is None:
         alphabet = sorted(set(g.labels) | set(h.labels))
         trees, truncated = enumerate_pattern_trees(patterns, budget, alphabet)

@@ -310,6 +310,28 @@ class TestTreewidth:
         with pytest.raises(SizeGuardError):
             treewidth(cycle(15))
 
+    def test_within_networkx_heuristic_bounds(self):
+        # exact width never exceeds the min-degree and min-fill-in heuristics,
+        # and the decomposition returned with it is valid
+        import networkx as nx
+        from networkx.algorithms.approximation import (
+            treewidth_min_degree,
+            treewidth_min_fill_in,
+        )
+
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randrange(2, 12)
+            p = rng.choice((0.2, 0.35, 0.5, 0.7))
+            g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            w, td = treewidth(g)
+            assert td.width == w
+            check_decomposition(g, td)
+            ng = nx.Graph(g.edges)
+            ng.add_nodes_from(range(n))
+            bounds = [heuristic(ng)[0] for heuristic in (treewidth_min_degree, treewidth_min_fill_in)]
+            assert w <= min(bounds)
+
     def test_monotone_under_induced_subgraphs(self):
         rng = random.Random(3)
         for _ in range(25):

@@ -78,6 +78,31 @@ class TestWl:
         assert code == 3
         assert err.startswith("error: guard:")
 
+    def test_kwl_guard_counts_signature_entries(self, capsys, tmp_path, monkeypatch):
+        # 200^2 tuples per graph are few, but a 2-WL round would build
+        # 2 * 200^3 signature entries; the guard trips before any tuple
+        import homcount.refinement as refinement
+
+        def no_tuples(*args, **kwargs):
+            raise AssertionError("tuples built before the guard")
+
+        monkeypatch.setattr(refinement, "product", no_tuples)
+        path = write(tmp_path / "big.jsonl", json.dumps({"id": "big", "n": 200, "edges": []}) + "\n")
+        code, out, err = run(capsys, "wl", path, path, "--variant", "kwl", "--k", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: guard:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", [
+        ["--variant", "wl1"],
+        ["--variant", "fwl"],
+        ["--variant", "kwl", "--k", "2"],
+    ], ids=["wl1", "fwl", "kwl"])
+    def test_negative_rounds_exit_2(self, capsys, fixture_files, variant):
+        a, b = fixture_files
+        code, out, err = run(capsys, "wl", a, b, *variant, "--rounds", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: invalid: max_rounds must be nonnegative, got -1\n"
+
 
 class TestGen:
     def test_fig1_golden(self, capsys):
@@ -198,6 +223,29 @@ class TestWitness:
         report = json.loads(out)
         assert report["distinguished"] is True
         assert report["witness"]["counts"] == [12, 0]
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--depth", "-1", "depth must be at least 0, got -1"),
+        ("--max-backbone", "0", "backbone must be at least 1, got 0"),
+        ("--max-multiplicity", "-1", "multiplicity must be at least 0, got -1"),
+        ("--max-trees", "0", "max_trees must be at least 1, got 0"),
+    ], ids=["depth", "backbone", "multiplicity", "max_trees"])
+    def test_bad_budget_exit_2(self, capsys, fixture_files, k3_file, flag, value, message):
+        a, b = fixture_files
+        code, out, err = run(capsys, "witness", a, b, "--patterns", k3_file, flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: invalid: budget {message}\n"
+
+    @pytest.mark.parametrize("pair,message", [
+        (("0", "99"), "vertex 99 out of range for graph h1 with 6 vertices"),
+        (("6", "0"), "vertex 6 out of range for graph g1 with 6 vertices"),
+        (("-1", "0"), "vertex -1 out of range for graph g1 with 6 vertices"),
+    ], ids=["past-h", "past-g", "negative"])
+    def test_vertices_out_of_range_exit_2(self, capsys, fixture_files, k3_file, pair, message):
+        a, b = fixture_files
+        code, out, err = run(capsys, "witness", a, b, "--patterns", k3_file, "--vertices", *pair)
+        assert code == 2 and out == ""
+        assert err == f"error: invalid: {message}\n"
 
     def test_same_graph_no_witness(self, capsys, fig2_files, k3_file):
         a, _ = fig2_files

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from homcount.algebra import SizeGuardError
@@ -13,6 +14,7 @@ from homcount.refinement import (
     f_wl,
     graph_verdict,
     k_wl,
+    k_wl_trace,
     vertices_equivalent,
     wl_refine,
 )
@@ -31,6 +33,49 @@ H2 = Graph("h2", 9, (0,) * 9,
 
 def build(n, edges, labels=None, gid="g"):
     return Graph(gid, n, tuple(labels or [0] * n), normalize_edges(edges))
+
+
+def swapped_pair(seed):
+    """A random graph and a shuffled copy after up to three degree-preserving
+    double edge swaps; every third pair carries two vertex labels."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 9)
+    labels = [rng.choice((0, 0, 1)) if seed % 3 == 0 else 0 for _ in range(n)]
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45}
+    other = set(edges)
+    swaps = 0
+    for _ in range(50):
+        if swaps == seed % 3 + 1 or len(other) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(other), 2)
+        new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not new & other:
+            other = (other - {(a, b), (c, d)}) | new
+            swaps += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = build(n, edges, labels, "g")
+    return g, build(n, other, labels, "h").relabeled(perm, "h")
+
+
+# Verdict round of k_wl for k = 1, 2, 3 on swapped_pair(0..29), None when
+# not distinguished; computed by an earlier k-WL implementation that kept
+# per-tuple color dictionaries and one id table across rounds.
+KWL_PINNED = [
+    (2, 1, 0), (2, 1, 0), (None, None, None), (None, None, None), (2, 1, 0),
+    (2, 1, 0), (2, 1, 0), (None, None, None), (None, None, None), (None, None, None),
+    (2, 1, 1), (2, 1, 1), (2, 1, 1), (None, None, None), (None, None, None),
+    (None, None, None), (2, 1, 0), (2, 1, 1), (None, None, None), (None, None, None),
+    (None, None, None), (1, 1, 0), (None, None, None), (3, 1, 0), (1, 1, 0),
+    (2, 1, 0), (None, None, None), (1, 1, 0), (None, None, None), (2, 1, 0),
+]
+
+
+def partition(colors):
+    cells = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, set()).add(i)
+    return sorted(map(sorted, cells.values()))
 
 
 def clique(k, root=None):
@@ -73,6 +118,47 @@ class TestPlainRefinement:
             a, b = wl_refine(g, h)
             assert a.stable
             assert a.rounds <= g.n + h.n
+
+    def test_rounds_match_networkx_wl_hashes(self):
+        # per-round joint partitions of the pair equal those of networkx's
+        # WL subtree hashes on the disjoint union
+        rng = random.Random(11)
+        for i in range(16):
+            n = rng.randrange(4, 12)
+            g, h = (
+                build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.3], [rng.randrange(1 + i % 2) for _ in range(n)], gid)
+                for gid in "gh"
+            )
+            a, b = wl_refine(g, h)
+            union = nx.Graph()
+            union.add_nodes_from((v, {"label": str(c)}) for v, c in enumerate(g.labels + h.labels))
+            union.add_edges_from(g.edges)
+            union.add_edges_from((u + n, v + n) for u, v in h.edges)
+            hashes = nx.weisfeiler_lehman_subgraph_hashes(
+                union, node_attr="label", iterations=a.rounds + 1)
+            for d in range(1, a.rounds + 2):
+                ours = a.colors_at(d) + b.colors_at(d)
+                theirs = [hashes[v][d - 1] for v in range(2 * n)]
+                assert partition(ours) == partition(theirs)
+
+    def test_round_cap_stops_before_stability(self):
+        a, b = wl_refine(G2, H2)
+        assert a.stable and b.stable and a.rounds >= 2
+        for cap in range(a.rounds):
+            ca, cb = wl_refine(G2, H2, max_rounds=cap)
+            assert not ca.stable and not cb.stable
+            assert ca.history == a.history[: cap + 1] and cb.history == b.history[: cap + 1]
+        ca, _ = wl_refine(G2, H2, max_rounds=a.rounds)
+        assert ca.stable and ca.history == a.history
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            wl_refine(G1, H1, max_rounds=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            f_wl(G1, H1, [clique(3, root=0)], max_rounds=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            k_wl_trace(G1, H1, 2, max_rounds=-1)
 
     def test_refinement_is_monotone(self):
         a, b = wl_refine(G2, H2)
@@ -160,9 +246,15 @@ class TestKWl:
             h = g.relabeled(perm, "b")
             assert not k_wl(g, h, k).distinguished
 
-    def test_trace_invariants(self):
-        from homcount.refinement import k_wl_trace
+    def test_verdicts_pinned_on_random_pairs(self):
+        for seed, rounds in enumerate(KWL_PINNED):
+            g, h = swapped_pair(seed)
+            for k, at_round in zip((1, 2, 3), rounds):
+                verdict = k_wl(g, h, k)
+                assert (verdict.distinguished, verdict.at_round) == (
+                    at_round is not None, at_round), (seed, k)
 
+    def test_trace_invariants(self):
         tg, th, verdict = k_wl_trace(G1, H1, 2)
         assert verdict.distinguished
         # initial colors constant on isomorphism-type classes: a tuple and its
@@ -192,7 +284,7 @@ class TestMatrix:
         assert not table[("g2", "g2")].distinguished
 
     def test_verdict_json_shape(self):
-        v = Verdict(True, 1, "x")
+        v = Verdict(True, 1)
         assert v.to_json(("a", "b")) == {"pair": ["a", "b"], "distinguished": True, "round": 1}
         v2 = Verdict(False, None)
         assert v2.to_json()["round"] is None
