@@ -304,11 +304,8 @@ def core_of(p: RootedPattern) -> RootedPattern:
     raise AssertionError("unreachable: the identity map always exists")
 
 
-@lru_cache(maxsize=256)
 def automorphism_count(p: RootedPattern) -> int:
-    """Number of root-preserving isomorphisms from p onto itself (>= 1).
-
-    Cached per pattern: a feature export asks for it once per graph."""
+    """Number of root-preserving isomorphisms from p onto itself (>= 1)."""
     return count_maps(p.graph, p.graph, p.root, p.root, bijective=True)
 
 

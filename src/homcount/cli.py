@@ -17,9 +17,8 @@ from homcount.counting import (
     CountOverflowError,
     _check_anchor,
     hom_count_brute,
-    hom_count_dp,
-    inj_vector,
-    sub_vector,
+    hom_vector,
+    unflagged,
 )
 from homcount.families import (
     cfi_pair,
@@ -246,32 +245,23 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.engine == "brute" and args.mode != "hom":
+        raise ValueError(f"the brute engine counts homomorphisms only, not --mode {args.mode}")
     alphabet = LabelAlphabet()
     pattern = _first_pattern(args.pattern, alphabet)
     g = _first_graph(args.graph, alphabet)
     if args.anchor is not None:
         _check_anchor(args.anchor, g)
     result: dict = {"graph": g.id, "pattern": pattern.id, "mode": args.mode}
-    if args.mode == "hom":
-        if args.engine == "brute":
-            if args.anchor is not None:
-                result["count"] = hom_count_brute(pattern, g, args.anchor)
-            else:
-                result["count"] = hom_count_brute(pattern.graph, g)
-        else:
-            vec = hom_count_dp(pattern, g)
-            if args.anchor is not None:
-                result["count"] = vec.counts[args.anchor]
-            else:
-                result["counts"] = list(vec.counts)
-                result["total"] = vec.total
+    if args.engine == "brute":
+        target = pattern if args.anchor is not None else pattern.graph
+        result["count"] = hom_count_brute(target, g, args.anchor)
     else:
-        vector = inj_vector(pattern, g) if args.mode == "inj" else sub_vector(pattern, g)
+        vec = unflagged(hom_vector([pattern], g, args.mode)[0])
         if args.anchor is not None:
-            result["count"] = vector[args.anchor]
+            result["count"] = vec.counts[args.anchor]
         else:
-            result["counts"] = list(vector)
-            result["total"] = sum(vector)
+            result.update(counts=list(vec.counts), total=vec.total)
     with _open_output(args.output) as out:
         json.dump(result, out)
         out.write("\n")
@@ -292,6 +282,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 0:
+            parser.error(f"argument --threads: must be 0 or more, got {args.threads}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,6 +1,6 @@
 """Counting kernels: brute-force oracle, tree-decomposition dynamic programming
-for all-anchor rooted counts, injective counts by partition-lattice inversion,
-and subgraph counts.
+for all-anchor rooted counts, and count plans, which give hom, injective and
+subgraph counts as integer combinations of shared basis hom counts.
 
 Counts are exact integers. Anything exceeding 2**127 - 1 raises
 :class:`CountOverflowError` instead of wrapping or saturating.
@@ -31,7 +31,7 @@ from homcount.algebra import (
     quotient_classes,
     treewidth,
 )
-from homcount.graphs import Graph, RootedPattern, _bits, count_maps, is_connected
+from homcount.graphs import Graph, RootedPattern, _bits, canonical_code, count_maps, is_connected
 
 MAX_COUNT = (1 << 127) - 1
 
@@ -326,24 +326,86 @@ def hom_count_dp(pattern: PatternLike, g: Graph) -> CountVector:
     return CountVector(g.id, pattern.id, None, total)
 
 
-# --- injective and subgraph counts ---------------------------------------------
+# --- count plans: hom, injective and subgraph counts ------------------------------
+
+
+class CountPlan(NamedTuple):
+    basis: tuple[RootedPattern, ...]  # distinct rooted patterns, one DP each per graph
+    terms: tuple[tuple[tuple[int, int], ...], ...]  # per pattern: (basis index, weight)
+    divisors: tuple[int, ...]  # per pattern: automorphism count in sub mode, else 1
+
+
+@lru_cache(maxsize=256)
+def count_plan(patterns: tuple[RootedPattern, ...], mode: str) -> CountPlan:
+    """Each pattern's count as an integer combination of basis hom counts: in
+    hom mode the pattern itself, else its Möbius-weighted quotient classes,
+    divided in sub mode by its root-preserving automorphisms (Curticapean,
+    Dell and Marx, STOC 2017). Isomorphic basis patterns share one entry."""
+    if mode not in ("hom", "inj", "sub"):
+        raise ValueError(f"unknown mode {mode!r}")
+    basis: dict[bytes, tuple[int, RootedPattern]] = {}  # code -> (index, first pattern)
+    terms = []
+    for p in patterns:
+        row = []
+        for weight, q in ((1, p),) if mode == "hom" else quotient_classes(p):
+            if weight:
+                i, _ = basis.setdefault(canonical_code(q.graph, q.root), (len(basis), q))
+                row.append((i, weight))
+        terms.append(tuple(row))
+    divisors = tuple(automorphism_count(p) if mode == "sub" else 1 for p in patterns)
+    return CountPlan(tuple(q for _, q in basis.values()), tuple(terms), divisors)
+
+
+def _combine(p: RootedPattern, g: Graph, terms, divisor: int) -> CountVector:
+    """The weighted sum of p's basis vectors, checked against the ceiling,
+    then divided exactly; a unit term passes its basis vector through."""
+    if any(vec is None for vec, _ in terms):
+        raise CountOverflowError("a basis count exceeds 2**127-1")
+    (first, weight), *rest = terms
+    if not rest and weight == 1 and divisor == 1 and first.pattern_id == p.id:
+        return first
+    counts = []
+    for v in range(g.n):
+        c = _check(sum(w * vec.counts[v] for vec, w in terms))
+        q, r = divmod(c, divisor)
+        if r or c < 0:
+            raise AssertionError(f"inj count {c} negative or not divisible by {divisor}")
+        counts.append(q)
+    return CountVector(g.id, p.id, tuple(counts), sum(counts))
+
+
+def hom_vector(
+    patterns: Sequence[RootedPattern], g: Graph, mode: str = "hom"
+) -> list[CountVector]:
+    """One rooted CountVector per pattern, in pattern order, in ``mode`` hom,
+    inj or sub: one DP per basis pattern of their :func:`count_plan`. A
+    pattern using an overflowing count is flagged; the others go on."""
+    plan = count_plan(tuple(patterns), mode)
+    basis: list[Optional[CountVector]] = []
+    for q in plan.basis:
+        try:
+            basis.append(hom_count_dp(q, g))
+        except CountOverflowError:
+            basis.append(None)
+    out = []
+    for p, row, divisor in zip(patterns, plan.terms, plan.divisors):
+        try:
+            out.append(_combine(p, g, [(basis[i], w) for i, w in row], divisor))
+        except CountOverflowError:
+            out.append(CountVector(g.id, p.id, None, 0, overflow=True))
+    return out
+
+
+def unflagged(vec: CountVector) -> CountVector:
+    """``vec``, or CountOverflowError if it is flagged."""
+    if vec.overflow:
+        raise CountOverflowError("count exceeds 2**127-1")
+    return vec
 
 
 def inj_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
-    """Injective homomorphism counts at every anchor, by Möbius inversion over
-    the partition lattice of quotients."""
-    acc = [0] * g.n
-    for weight, q in quotient_classes(p):
-        if not weight:
-            continue
-        counts = hom_count_dp(q, g).counts
-        assert counts is not None
-        for v in range(g.n):
-            acc[v] += weight * counts[v]
-    for v, c in enumerate(acc):
-        assert c >= 0, "injective count must be nonnegative"
-        _check(c)
-    return tuple(acc)
+    """Injective homomorphism counts at every anchor."""
+    return unflagged(hom_vector([p], g, "inj")[0]).counts  # type: ignore[return-value]
 
 
 def inj_count(p: RootedPattern, g: Graph, anchor: int) -> int:
@@ -353,46 +415,10 @@ def inj_count(p: RootedPattern, g: Graph, anchor: int) -> int:
 
 
 def sub_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
-    """Rooted subgraph-isomorphism counts: injective counts divided by the
-    pattern's root-preserving automorphisms (division is exact)."""
-    aut = automorphism_count(p)
-    inj = inj_vector(p, g)
-    out = []
-    for c in inj:
-        q, r = divmod(c, aut)
-        if r:
-            raise AssertionError(
-                f"inj count {c} not divisible by automorphism count {aut}"
-            )
-        out.append(q)
-    return tuple(out)
+    """Rooted subgraph-isomorphism counts at every anchor."""
+    return unflagged(hom_vector([p], g, "sub")[0]).counts  # type: ignore[return-value]
 
 
 def sub_count(p: RootedPattern, g: Graph, anchor: int) -> int:
     _check_anchor(anchor, g)
     return sub_vector(p, g)[anchor]
-
-
-def hom_vector(
-    patterns: Sequence[RootedPattern], g: Graph, mode: str = "hom"
-) -> list[CountVector]:
-    """One rooted CountVector per pattern, in pattern order.
-
-    ``mode`` selects homomorphism or subgraph-isomorphism counts. Overflowing
-    patterns yield a flagged vector instead of aborting the whole graph.
-    """
-    if mode not in ("hom", "sub"):
-        raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for p in patterns:
-        try:
-            if mode == "hom":
-                vec = hom_count_dp(p, g)
-            else:
-                counts = sub_vector(p, g)
-                vec = CountVector(g.id, p.id, counts, sum(counts))
-        except CountOverflowError:
-            vec = CountVector(g.id, p.id, None, 0, overflow=True)
-        out.append(vec)
-    return out
-

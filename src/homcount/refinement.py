@@ -215,7 +215,7 @@ def k_wl_trace(
     stability, or after ``max_rounds`` rounds.
     """
     if k not in (1, 2, 3):
-        raise SizeGuardError(f"k must be 1, 2 or 3, got {k}")
+        raise (SizeGuardError if k > 3 else ValueError)(f"k must be 1, 2 or 3, got {k}")
     _check_rounds(max_rounds)
     entries = g.n ** (k + 1) + h.n ** (k + 1)
     if entries > KWL_ENTRY_GUARD:

@@ -92,6 +92,15 @@ class TestWl:
         assert code == 3 and out == ""
         assert err.startswith("error: guard:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k,code,kind", [
+        ("0", 2, "invalid"), ("-1", 2, "invalid"), ("4", 3, "guard"),
+    ])
+    def test_kwl_dimension_exit_codes(self, capsys, fixture_files, k, code, kind):
+        a, b = fixture_files
+        got, out, err = run(capsys, "wl", a, b, "--variant", "kwl", "--k", k)
+        assert got == code and out == ""
+        assert err == f"error: {kind}: k must be 1, 2 or 3, got {k}\n"
+
     @pytest.mark.parametrize("variant", [
         ["--variant", "wl1"],
         ["--variant", "fwl"],
@@ -179,6 +188,37 @@ class TestFeatures:
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestThreads:
+    @pytest.fixture
+    def argvs(self, tmp_path, fixture_files, k3_file):
+        a, b = fixture_files
+        three = write(tmp_path / "three.jsonl", "".join(
+            json.dumps({"id": f"t{i}", "n": 3 + i, "edges": [[0, 1], [1, 2]]}) + "\n"
+            for i in range(3)))
+        return {
+            "features": ["features", three, "--patterns", k3_file, "--mode", "sub"],
+            "advise": ["advise", "--patterns", k3_file, "--candidates", k3_file],
+            "wl": ["wl", a, b],
+            "gen": ["gen", "--family", "fig1"],
+            "witness": ["witness", a, b, "--patterns", k3_file],
+            "count": ["count", "--pattern", k3_file, "--graph", a],
+        }
+
+    @pytest.mark.parametrize("command", ["features", "advise", "wl", "gen", "witness", "count"])
+    def test_negative_threads_exit_2(self, capsys, argvs, command):
+        code, out, err = run(capsys, *argvs[command], "--threads", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: usage: argument --threads: must be 0 or more, got -1\n"
+
+    def test_small_thread_counts_agree(self, capsys, argvs):
+        outputs = []
+        for t in ("1", "2"):
+            code, out, _ = run(capsys, *argvs["features"], "--threads", t)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") > 3
 
 
 class TestAdvise:
@@ -290,3 +330,20 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--pattern", k3_file, "--graph", a,
                            "--mode", "sub")
         assert json.loads(out)["counts"] == [1] * 6
+
+    @pytest.mark.parametrize("mode", ["inj", "sub"])
+    def test_brute_engine_counts_hom_only(self, capsys, fixture_files, k3_file, mode):
+        a, _ = fixture_files
+        code, out, err = run(capsys, "count", "--pattern", k3_file, "--graph", a,
+                             "--engine", "brute", "--mode", mode)
+        assert code == 2 and out == ""
+        assert err == ("error: invalid: the brute engine counts homomorphisms only, "
+                       f"not --mode {mode}\n")
+
+    @pytest.mark.parametrize("mode,counts", [("hom", [2] * 6), ("inj", [2] * 6), ("sub", [1] * 6)])
+    def test_modes_share_one_path(self, capsys, fixture_files, k3_file, mode, counts):
+        a, _ = fixture_files
+        code, out, _ = run(capsys, "count", "--pattern", k3_file, "--graph", a, "--mode", mode)
+        assert code == 0
+        assert json.loads(out) == {"graph": "g1", "pattern": "K3", "mode": mode,
+                                   "counts": counts, "total": sum(counts)}

@@ -355,7 +355,7 @@ class TestInjectiveAndSubgraph:
             searches.append(kwargs.get("bijective", False))
             return real(*args, **kwargs)
 
-        algebra.automorphism_count.cache_clear()
+        counting.count_plan.cache_clear()
         monkeypatch.setattr(algebra, "count_maps", spy)
         rng = random.Random(41)
         pats = [cycle(5, root=0), clique(3, root=0)]
@@ -364,6 +364,97 @@ class TestInjectiveAndSubgraph:
             for p in pats:
                 sub_vector(p, g)
         assert searches.count(True) == len(pats)
+
+
+def labelled(k, edges, label, gid, root=0):
+    """Rooted pattern on k vertices that all carry ``label``."""
+    return RootedPattern(build(k, edges, labels=[label] * k, gid=gid), root)
+
+
+def bench_patterns():
+    """The molecule workload's patterns: K3, C4, C5, C6 on label 0, L2 on label 1."""
+    rings = [labelled(k, [(i, (i + 1) % k) for i in range(k)], 0, "K3" if k == 3 else f"C{k}")
+             for k in (3, 4, 5, 6)]
+    return rings + [labelled(3, [(0, 1), (1, 2)], 1, "L2")]
+
+
+class TestCountPlan:
+    def test_shared_plan_matches_oracles(self):
+        # the copy of C4 is rooted at vertex 2 of a relabelled 4-cycle
+        copy = labelled(4, [(0, 2), (2, 1), (1, 3), (3, 0)], 0, "C4b", root=2)
+        pats = bench_patterns() + [copy]
+        assert len(counting.count_plan(tuple(pats), "sub").basis) == len(
+            counting.count_plan(tuple(pats[:-1]), "sub").basis)
+        rng = random.Random(53)
+        for i in range(8):
+            n = rng.randrange(3, 7)
+            g = random_graph(rng, n, 0.6, gid=f"r{i}")
+            g = Graph(g.id, n, tuple(rng.choice((0, 0, 0, 1)) for _ in range(n)), g.edges)
+            hom, inj, sub = (hom_vector(pats, g, mode) for mode in ("hom", "inj", "sub"))
+            for j, p in enumerate(pats):
+                for v in range(n):
+                    assert hom[j].counts[v] == hom_count_brute(p, g, v)
+                    assert inj[j].counts[v] == oracle_inj(p.graph, p.root, g, v)
+                    assert sub[j].counts[v] == oracle_sub(p, g, v)
+                assert not (hom[j].overflow or inj[j].overflow or sub[j].overflow)
+                assert (hom[j].pattern_id, sub[j].pattern_id) == (p.id, p.id)
+
+    @pytest.mark.parametrize("mode,per_graph", [("sub", 24), ("hom", 5)])
+    def test_one_dp_per_basis_pattern(self, monkeypatch, mode, per_graph):
+        from homcount.pipeline import compute_features
+
+        calls = []
+        real = counting.hom_count_dp
+
+        def spy(pattern, g):
+            calls.append(g.id)
+            return real(pattern, g)
+
+        monkeypatch.setattr(counting, "hom_count_dp", spy)
+        rng = random.Random(59)
+        graphs = [random_graph(rng, 8, 0.4, labels=2, gid=f"m{i}") for i in range(3)]
+        compute_features(graphs, bench_patterns(), mode=mode)
+        assert len(calls) == per_graph * len(graphs)
+        assert all(calls.count(g.id) == per_graph for g in graphs)
+
+    def test_basis_overflow_flags_its_users_only(self, monkeypatch):
+        pats = bench_patterns()
+        plan = counting.count_plan(tuple(pats), "sub")
+        g = random_graph(random.Random(61), 7, 0.5, labels=2)
+        clean = hom_vector(pats, g, "sub")
+        real = counting.hom_count_dp
+        for b, bad in enumerate(plan.basis):
+            def explode(pattern, graph):
+                if pattern == bad:
+                    raise CountOverflowError("synthetic")
+                return real(pattern, graph)
+
+            monkeypatch.setattr(counting, "hom_count_dp", explode)
+            vecs = hom_vector(pats, g, "sub")
+            for vec, row, want in zip(vecs, plan.terms, clean):
+                if any(i == b for i, _ in row):
+                    assert vec.overflow and vec.counts is None
+                else:
+                    assert vec == want
+
+    def test_combined_count_checked_before_division(self, monkeypatch):
+        # each basis count fits, but C4's injective sum (its hom count, minus
+        # those of its two rooted P3 quotients, plus that of K2) is
+        # MAX_COUNT + 1, which divided by its 2 automorphisms would fit
+        def huge(pattern, g):
+            c = {4: MAX_COUNT, 2: 1}.get(pattern.graph.n, 0)
+            return CountVector(g.id, pattern.id, (c,) * g.n, c)
+
+        monkeypatch.setattr(counting, "hom_count_dp", huge)
+        c4 = cycle(4, root=0)
+        (vec,) = hom_vector([c4], G1, "sub")
+        assert vec.overflow
+        with pytest.raises(CountOverflowError):
+            sub_vector(c4, G1)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            hom_vector([clique(3, root=0)], G1, mode="iso")
 
 
 class TestVectorAndMatrix:

@@ -113,13 +113,15 @@ class TestFeatures:
     def test_deterministic_across_threads(self):
         graphs = synthetic_dataset(20, seed=9)
         pats = [clique_pattern(3), cycle_pattern(4)]
-        outputs = []
-        for threads in (1, 2, 4):
-            table = compute_features(graphs, pats, normalize="log-z", threads=threads)
-            buf = io.StringIO()
-            write_csv(table, buf)
-            outputs.append(buf.getvalue())
-        assert outputs[0] == outputs[1] == outputs[2]
+        for mode in ("hom", "sub"):
+            outputs = []
+            for threads in (1, 2, 4):
+                table = compute_features(graphs, pats, mode=mode, normalize="log-z",
+                                         threads=threads)
+                buf = io.StringIO()
+                write_csv(table, buf)
+                outputs.append(buf.getvalue())
+            assert outputs[0] == outputs[1] == outputs[2]
 
     def test_stats_from_other_dataset(self):
         graphs = synthetic_dataset(10, seed=11)
