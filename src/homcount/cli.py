@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: features, advise, wl, gen, witness, count. Exit codes: 0 success,
-1 verified failure (a check mode found a violation), 2 usage or parse error,
-3 resource guard tripped. Errors print one machine-parsable line on stderr.
+1 verified failure (a check mode found a violation, or ``count``, ``wl --variant
+fwl`` or ``witness`` met a count above 2**127-1: ``error: overflow:``; ``features``
+flags the rows of such a graph NA and exits 0), 2 usage or parse error, 3
+resource guard tripped. Errors print one machine-parsable line on stderr.
 """
 
 from __future__ import annotations

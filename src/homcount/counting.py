@@ -403,6 +403,12 @@ def unflagged(vec: CountVector) -> CountVector:
     return vec
 
 
+def rooted_counts(patterns: Sequence[RootedPattern], g: Graph) -> list[tuple[int, ...]]:
+    """Each pattern's per-anchor hom counts on g from :func:`hom_vector`, or
+    CountOverflowError if any of them overflows."""
+    return [unflagged(vec).counts for vec in hom_vector(patterns, g)]  # type: ignore[misc]
+
+
 def inj_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
     """Injective homomorphism counts at every anchor."""
     return unflagged(hom_vector([p], g, "inj")[0]).counts  # type: ignore[return-value]

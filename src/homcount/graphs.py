@@ -223,7 +223,8 @@ def parse_graph(line, alphabet: Optional[LabelAlphabet] = None) -> Graph:
     """Parse one JSON record ``{"id", "n", "labels"?, "edges"}`` into a Graph.
 
     A missing ``labels`` field yields the uniform label 0 for all vertices.
-    Labels are interned through ``alphabet`` (a fresh one if not supplied).
+    Labels are JSON strings or integers (not booleans), interned through
+    ``alphabet`` (a fresh one if not supplied).
     """
     rec = _record_from_line(line)
     if alphabet is None:
@@ -247,6 +248,9 @@ def parse_graph(line, alphabet: Optional[LabelAlphabet] = None) -> Graph:
     else:
         if not isinstance(raw_labels, list) or len(raw_labels) != n:
             raise ParseError("'labels' must be a list of length n", field="labels")
+        for x in raw_labels:
+            if not isinstance(x, (str, int)) or isinstance(x, bool):
+                raise ParseError(f"label {x!r} is not a string or an integer", field="labels")
         labels = tuple(alphabet.intern(x) for x in raw_labels)
     return Graph(gid, n, labels, normalize_edges(raw_edges))
 

@@ -162,6 +162,8 @@ def compute_features(
         raise ValueError(f"unknown mode {mode!r}")
     if normalize not in ("none", "log-z"):
         raise ValueError(f"unknown normalize {normalize!r}")
+    if threads < 0:
+        raise ValueError(f"threads must be 0 or more, got {threads}")
     rows, overflowed = _all_count_rows(list(graphs), list(patterns), mode, threads)
     table = FeatureTable(
         mode=mode,

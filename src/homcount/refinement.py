@@ -14,7 +14,7 @@ from itertools import chain, islice, product
 from typing import Optional, Sequence
 
 from homcount.algebra import SizeGuardError
-from homcount.counting import hom_count_dp
+from homcount.counting import rooted_counts
 from homcount.graphs import Graph, RootedPattern, neighbour_signatures, refine
 
 # Cap on the substituted-tuple entries one k-WL round builds, g.n^(k+1) +
@@ -25,9 +25,10 @@ KWL_ENTRY_GUARD = 4_000_000
 
 @dataclass(frozen=True)
 class Coloring:
-    """Per-round vertex colors for one graph of a jointly refined pair.
+    """Per-round colors of one graph's items (its vertices, or for k-WL its
+    k-tuples in ``itertools.product`` order) for a jointly refined pair.
 
-    ``history[d][v]`` is the color of v after round d (round 0 = initial).
+    ``history[d][i]`` is the color of item i after round d (round 0 = initial).
     Ids are dense and shared with the partner coloring.
     """
 
@@ -93,6 +94,16 @@ def vertices_equivalent(a: Coloring, b: Coloring, v: int, w: int, d: int = -1) -
     return a.colors_at(d)[v] == b.colors_at(d)[w]
 
 
+def _split_colorings(g: Graph, h: Graph, history: list, cut: int) -> tuple[Coloring, Coloring]:
+    """Cut each round's joint colors at ``cut`` into the pair's colorings;
+    stable iff the last round split no class."""
+    stable = len(history) > 1 and len(set(history[-1])) == len(set(history[-2]))
+    return (
+        Coloring(g.id, tuple(tuple(c[:cut]) for c in history), stable),
+        Coloring(h.id, tuple(tuple(c[cut:]) for c in history), stable),
+    )
+
+
 def wl_refine(
     g: Graph,
     h: Graph,
@@ -118,11 +129,7 @@ def wl_refine(
     history = [_first_seen_ids([*init_g, *init_h])]
     limit = g.n + h.n if max_rounds is None else max_rounds
     history += islice(refine(history[0], neighbour_signatures(adjacency)), limit)
-    stable = len(history) > 1 and len(set(history[-1])) == len(set(history[-2]))
-    return (
-        Coloring(g.id, tuple(tuple(c[: g.n]) for c in history), stable),
-        Coloring(h.id, tuple(tuple(c[g.n:]) for c in history), stable),
-    )
+    return _split_colorings(g, h, history, g.n)
 
 
 def f_wl(
@@ -139,36 +146,11 @@ def f_wl(
 
 
 def _hom_init(g: Graph, patterns: Sequence[RootedPattern]) -> list:
-    vectors = [hom_count_dp(p, g).counts for p in patterns]
-    return [
-        (g.labels[v],) + tuple(vec[v] for vec in vectors)  # type: ignore[index]
-        for v in range(g.n)
-    ]
+    vectors = rooted_counts(patterns, g)
+    return [(g.labels[v],) + tuple(vec[v] for vec in vectors) for v in range(g.n)]
 
 
 # --- folklore k-WL -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TupleColoring:
-    """Per-round colors over all k-tuples of one graph's vertices.
-
-    ``history[d]`` maps each tuple to its color after round d; round 0 encodes
-    isomorphism types, so tuples share an initial color iff the map between
-    them is a partial isomorphism.
-    """
-
-    graph_id: str
-    k: int
-    history: tuple[dict[tuple[int, ...], int], ...]
-
-    @property
-    def rounds(self) -> int:
-        return len(self.history) - 1
-
-    @property
-    def final(self) -> dict[tuple[int, ...], int]:
-        return self.history[-1]
 
 
 def _isotp(g: Graph, tup: tuple[int, ...]):
@@ -204,8 +186,9 @@ def _tuple_signatures(grf: Graph, k: int, tuples: list, base: int):
 
 def k_wl_trace(
     g: Graph, h: Graph, k: int, max_rounds: Optional[int] = None
-) -> tuple[TupleColoring, TupleColoring, Verdict]:
-    """Folklore k-dimensional refinement of the pair with full round history.
+) -> tuple[Coloring, Coloring, Verdict]:
+    """Folklore k-dimensional refinement of the pair with full round history,
+    one color per k-tuple in ``itertools.product`` order.
 
     Update: a tuple's new color is the rank of its old color paired with the
     multiset, over all vertices w, of the position-wise substituted tuple
@@ -232,21 +215,14 @@ def k_wl_trace(
     rounds = refine(init, lambda colors: [*sig_g(colors), *sig_h(colors)])
     limit = ng + len(tuples_h) if max_rounds is None else max_rounds
 
-    hist_g: list[dict] = []
-    hist_h: list[dict] = []
+    history = []
     verdict = Verdict(False, None)
     for d, colors in enumerate(chain([init], islice(rounds, limit))):
-        cg, ch = colors[:ng], colors[ng:]
-        hist_g.append(dict(zip(tuples_g, cg)))
-        hist_h.append(dict(zip(tuples_h, ch)))
-        if sorted(cg) != sorted(ch):
+        history.append(colors)
+        if sorted(colors[:ng]) != sorted(colors[ng:]):
             verdict = Verdict(True, d)
             break
-    return (
-        TupleColoring(g.id, k, tuple(hist_g)),
-        TupleColoring(h.id, k, tuple(hist_h)),
-        verdict,
-    )
+    return (*_split_colorings(g, h, history, ng), verdict)
 
 
 def k_wl(g: Graph, h: Graph, k: int, max_rounds: Optional[int] = None) -> Verdict:

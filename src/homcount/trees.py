@@ -8,8 +8,8 @@ satisfy
     hom(T^r, G^v) = [label matches] * prod_i hom(P_i^r, G^v)^{s_i}
                     * prod_children ( sum_{v' in N(v)} hom(T_i^{c_i}, G^{v'}) )
 
-which the evaluator applies bottom-up, reusing the decomposition-based kernel
-for the attachment factors.
+which the evaluator applies bottom-up, over each graph's attachment counts
+computed once through the count plan (:func:`homcount.counting.rooted_counts`).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from homcount.algebra import join
-from homcount.counting import CountVector, _check, hom_count_dp
+from homcount.counting import CountVector, _check, rooted_counts
 from homcount.graphs import Graph, RootedPattern, canonical_code, normalize_edges
 from homcount.refinement import Verdict, f_wl
 
@@ -51,10 +50,12 @@ class PatternTree:
 
     def __post_init__(self):
         t = len(self.parent)
-        assert self.parent[0] == -1 and all(0 <= self.parent[i] < i for i in range(1, t))
-        assert len(self.labels) == t and len(self.attachments) == t
-        for s in self.attachments:
-            assert len(s) == len(self.patterns)
+        if not t or self.parent[0] != -1 or any(not 0 <= self.parent[v] < v for v in range(1, t)):
+            raise ValueError("backbone parents need parent[0] == -1 and 0 <= parent[v] < v")
+        if len(self.labels) != t or len(self.attachments) != t:
+            raise ValueError("labels and attachments need one entry per backbone vertex")
+        if any(len(s) != len(self.patterns) for s in self.attachments):
+            raise ValueError("each attachment vector needs one multiplicity per pattern")
         for v in range(t):
             for i, mult in enumerate(self.attachments[v]):
                 if mult and self.patterns[i].root_label != self.labels[v]:
@@ -121,40 +122,28 @@ def flatten(tree: PatternTree) -> RootedPattern:
 
 
 def hom_pattern_tree(
-    tree: PatternTree, g: Graph, cache: Optional[dict] = None
+    tree: PatternTree, g: Graph, attachments: Optional[Sequence[Sequence[int]]] = None
 ) -> CountVector:
     """Per-anchor counts by the bottom-up recursion; equals brute counting of
     the flattened pattern at every vertex.
 
-    ``cache`` memoizes attachment-pattern count vectors across trees of one
-    enumeration run; keys are the (pattern, graph) objects themselves, so two
-    different graphs sharing an id never share counts.
+    ``attachments`` holds each of the tree's patterns' per-anchor counts on g
+    (default: :func:`homcount.counting.rooted_counts`); pass them to count
+    many trees over one pattern list on one graph.
     """
-    if cache is None:
-        cache = {}
+    if attachments is None:
+        attachments = rooted_counts(tree.patterns, g)
     n = g.n
     adjacency = g.adjacency
-
-    def pattern_counts(i: int) -> tuple[int, ...]:
-        key = (tree.patterns[i], g)
-        got = cache.get(key)
-        if got is None:
-            got = hom_count_dp(tree.patterns[i], g).counts
-            cache[key] = got
-        return got  # type: ignore[return-value]
-
     kids = tree.children()
-    order = sorted(range(tree.size), key=lambda v: -_depth_of(tree, v))
     val: dict[int, list[int]] = {}
-    for s in order:
+    for s in reversed(range(tree.size)):  # parent[v] < v, so children come first
         base = [1 if g.labels[v] == tree.labels[s] else 0 for v in range(n)]
-        for i, mult in enumerate(tree.attachments[s]):
-            if not mult:
-                continue
-            counts = pattern_counts(i)
-            for v in range(n):
-                if base[v]:
-                    base[v] = _check(base[v] * counts[v] ** mult)
+        for counts, mult in zip(attachments, tree.attachments[s], strict=True):
+            if mult:
+                for v in range(n):
+                    if base[v]:
+                        base[v] = _check(base[v] * counts[v] ** mult)
         for c in kids[s]:
             child = val.pop(c)
             for v in range(n):
@@ -165,18 +154,12 @@ def hom_pattern_tree(
     return CountVector(g.id, f"tree:{tree.signature()}", counts, sum(counts))
 
 
-def _depth_of(tree: PatternTree, v: int) -> int:
-    d = 0
-    while tree.parent[v] != -1:
-        v = tree.parent[v]
-        d += 1
-    return d
-
-
-def unrooted_tree_count(tree: PatternTree, g: Graph, cache: Optional[dict] = None) -> int:
+def unrooted_tree_count(
+    tree: PatternTree, g: Graph, attachments: Optional[Sequence[Sequence[int]]] = None
+) -> int:
     """Count of maps from the unrooted flattened tree: the anchor sum works
     because every map sends the backbone root somewhere."""
-    return hom_pattern_tree(tree, g, cache).total
+    return hom_pattern_tree(tree, g, attachments).total
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -334,7 +317,6 @@ def tree_equivalence_report(
     budget: EnumerationBudget = EnumerationBudget(),
     vertex_pair: Optional[tuple[int, int]] = None,
     trees: Optional[Sequence[PatternTree]] = None,
-    hom_cache: Optional[dict] = None,
 ) -> HarnessReport:
     """Cross-check refinement against tree counts on a budgeted universe.
 
@@ -344,8 +326,8 @@ def tree_equivalence_report(
     graph-level or, if ``vertex_pair`` is given, rooted at that pair.
 
     ``trees`` short-circuits enumeration with a pre-built stream (it must come
-    from the same pattern list); ``hom_cache`` shares attachment-count work
-    across calls.
+    from the same pattern list). Each graph's attachment counts are computed
+    once and shared by all trees.
     """
     for v, grf in zip(vertex_pair or (), (g, h)):
         if not 0 <= v < grf.n:
@@ -357,9 +339,9 @@ def tree_equivalence_report(
         trees, truncated = list(trees), False
     col_g, col_h, verdict = f_wl(g, h, patterns, max_rounds=rounds)
 
-    cache: dict = {} if hom_cache is None else hom_cache
+    attach_g, attach_h = rooted_counts(patterns, g), rooted_counts(patterns, h)
     per_tree = [
-        (tree, hom_pattern_tree(tree, g, cache), hom_pattern_tree(tree, h, cache))
+        (tree, hom_pattern_tree(tree, g, attach_g), hom_pattern_tree(tree, h, attach_h))
         for tree in trees
     ]
 

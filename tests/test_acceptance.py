@@ -13,7 +13,9 @@ import pytest
 
 from homcount.algebra import join, spasm, treewidth
 from homcount import dp_arrays
-from homcount.counting import _dp_plan, hom_count_brute, hom_count_dp, sub_vector
+from homcount.counting import (
+    _dp_plan, hom_count_brute, hom_count_dp, rooted_counts, sub_vector,
+)
 from homcount.families import (
     bowtie_pattern,
     cfi_pair,
@@ -192,12 +194,12 @@ def test_criterion_05_pattern_tree_recursion():
         trees = [_random_budgeted_tree(rng, patterns) for _ in range(200)]
         graphs = [random_graph(rng, rng.randrange(4, 9), 0.3, gid=f"tg{i}")
                   for i in range(50)]
-        cache = {}
+        attachments = [rooted_counts(patterns, g) for g in graphs]
         mismatches = 0
         for tree in trees:
             flat = flatten(tree)
-            for g in graphs:
-                got = hom_pattern_tree(tree, g, cache).counts
+            for g, attach in zip(graphs, attachments):
+                got = hom_pattern_tree(tree, g, attach).counts
                 want = tuple(hom_count_brute(flat, g, v) for v in range(g.n))
                 if got != want:
                     mismatches += 1
@@ -229,11 +231,8 @@ def test_criterion_06_forward_direction():
         for fam in families:
             trees, truncated = enumerate_pattern_trees(fam, budget, alphabet=(0,))
             assert not truncated
-            cache = {}
             for g, h in pairs:
-                report = tree_equivalence_report(
-                    g, h, fam, rounds=2, trees=trees, hom_cache=cache
-                )
+                report = tree_equivalence_report(g, h, fam, rounds=2, trees=trees)
                 assert report.ok, report.forward_violations[:3]
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homcount import counting
 from homcount.cli import main
 
 
@@ -169,6 +170,12 @@ class TestFeatures:
         assert code == 2
         assert err.startswith("error: parse:") and "bad.jsonl:1" in err
 
+    def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):
+        bad = write(tmp_path / "bad.jsonl", '{"id":"x","n":2,"labels":[0,[1]],"edges":[[0,1]]}\n')
+        code, out, err = run(capsys, "features", bad, "--patterns", k3_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error: parse:") and "label [1]" in err and err.count("\n") == 1
+
     def test_byte_identical_across_threads(self, capsys, tmp_path, k3_file):
         import random
 
@@ -219,6 +226,34 @@ class TestThreads:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] and outputs[0].count("\n") > 3
+
+
+class TestOverflow:
+    """A count above the ceiling exits 1 with one ``error: overflow:`` line,
+    except in ``features``, which flags the graph's rows NA and exits 0."""
+
+    @pytest.fixture(autouse=True)
+    def low_ceiling(self, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_COUNT", 1)  # K3 counts 2 at g1's vertices
+
+    @pytest.mark.parametrize("command", ["count", "fwl", "witness"])
+    def test_exit_1(self, capsys, fixture_files, k3_file, command):
+        a, b = fixture_files
+        argv = {
+            "count": ["count", "--pattern", k3_file, "--graph", a],
+            "fwl": ["wl", a, b, "--variant", "fwl", "--patterns", k3_file],
+            "witness": ["witness", a, b, "--patterns", k3_file],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: overflow:") and err.count("\n") == 1
+
+    def test_features_flags_rows(self, capsys, fixture_files, k3_file):
+        code, out, err = run(capsys, "features", fixture_files[0], "--patterns", k3_file)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("g1,")]
+        assert len(rows) == 6 and all(r.endswith(",NA") for r in rows)
+        assert err.startswith("error: overflow: graph g1") and err.count("\n") == 1
 
 
 class TestAdvise:

@@ -78,6 +78,18 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph('{"id":"x","n":2,"edges":[[0,1]],"labels":[1]}')
 
+    @pytest.mark.parametrize("label", ["true", "false", "1.0", "null", "[1]", '{"a": 1}'])
+    def test_label_must_be_string_or_integer(self, label):
+        with pytest.raises(ParseError) as err:
+            parse_graph(f'{{"id":"x","n":2,"labels":[1,{label}],"edges":[[0,1]]}}')
+        assert err.value.field == "labels"
+
+    def test_string_and_integer_labels_kept_apart(self):
+        alpha = LabelAlphabet()
+        g = parse_graph('{"id":"x","n":3,"labels":["1",1,-2],"edges":[[0,1]]}', alpha)
+        assert g.labels == (0, 1, 2)
+        assert [alpha.label_of(i) for i in g.labels] == ["1", 1, -2]
+
     def test_labels_interned_through_shared_alphabet(self):
         alpha = LabelAlphabet()
         a = parse_graph('{"id":"a","n":2,"labels":[7,9],"edges":[[0,1]]}', alpha)

@@ -123,6 +123,12 @@ class TestFeatures:
                 outputs.append(buf.getvalue())
             assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_negative_threads_rejected(self, count):
+        graphs = synthetic_dataset(count, seed=3)
+        with pytest.raises(ValueError, match="threads must be 0 or more, got -1"):
+            compute_features(graphs, [clique_pattern(3)], threads=-1)
+
     def test_stats_from_other_dataset(self):
         graphs = synthetic_dataset(10, seed=11)
         others = synthetic_dataset(10, seed=12)

@@ -1,0 +1,40 @@
+"""README examples: the library tour runs and its commented results hold,
+and the CLI example's commented output is what the command prints."""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+from homcount.cli import main
+from homcount.families import wl_equivalent_triangle_pair
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_library_tour_comments_hold():
+    source = README.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            expected = lines[node.end_lineno - 1].split("#", 1)[1].split(":", 1)[0].strip()
+            assert repr(value) == expected
+            checked.append(expected)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked == ["(2, 2, 2, 2, 2, 2)", "False"]
+
+
+def test_wl_example_output(tmp_path, capsys):
+    line = re.search(r"^homcount wl g1\.jsonl h1\.jsonl --variant wl1 +# (.*)$", README, re.M)
+    pair = wl_equivalent_triangle_pair()
+    paths = []
+    for g in (pair.g, pair.h):
+        path = tmp_path / f"{g.id}.jsonl"
+        path.write_text(json.dumps(g.to_record()) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    assert main(["wl", *paths, "--variant", "wl1"]) == 0
+    assert capsys.readouterr().out == line.group(1) + "\n"

@@ -257,17 +257,20 @@ class TestKWl:
     def test_trace_invariants(self):
         tg, th, verdict = k_wl_trace(G1, H1, 2)
         assert verdict.distinguished
-        # initial colors constant on isomorphism-type classes: a tuple and its
-        # reverse have the same type in these unlabeled graphs
+        # history[d][u * n + v] is the color of the pair (u, v): initial colors
+        # are constant on isomorphism-type classes, and a tuple and its reverse
+        # have the same type in these unlabeled graphs
+        n = G1.n
         init = tg.history[0]
-        for (u, v), c in init.items():
-            assert init[(v, u)] == c
+        assert len(init) == n * n
+        for u, v in itertools.product(range(n), repeat=2):
+            assert init[u * n + v] == init[v * n + u]
         # refinement is monotone: same color later implies same color earlier
         for col in (tg, th):
             for d in range(1, len(col.history)):
                 groups = {}
-                for t, c in col.history[d].items():
-                    groups.setdefault(c, set()).add(col.history[d - 1][t])
+                for i, c in enumerate(col.history[d]):
+                    groups.setdefault(c, set()).add(col.history[d - 1][i])
                 assert all(len(s) == 1 for s in groups.values())
 
 

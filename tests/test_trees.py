@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from homcount.counting import CountOverflowError, hom_count_brute
+from homcount import counting, refinement, trees as tree_module
+from homcount.counting import CountOverflowError, hom_count_brute, rooted_counts
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
 from homcount.trees import (
     EnumerationBudget,
@@ -112,10 +113,29 @@ class TestRecursion:
             want = tuple(hom_count_brute(flat, g, v) for v in range(6))
             assert got.counts == want
 
+    def test_attachments_must_cover_every_pattern(self):
+        tree = PatternTree((-1, 0), (0, 0), ((1, 0), (0, 1)), (K3, cycle(4)))
+        attachments = rooted_counts(tree.patterns, G2)
+        assert hom_pattern_tree(tree, G2, attachments) == hom_pattern_tree(tree, G2)
+        with pytest.raises(ValueError):
+            hom_pattern_tree(tree, G2, attachments[:1])
+
     def test_label_mismatch_zeroes_out(self):
         tree = bare_tree([-1], labels=[1])
         g = build(3, [(0, 1)], labels=[0, 1, 0])
         assert hom_pattern_tree(tree, g).counts == (0, 1, 0)
+
+    @pytest.mark.parametrize("parent, labels, attachments", [
+        ((), (), ()),
+        ((0,), (0,), ((0,),)),
+        ((-1, 1), (0, 0), ((0,), (0,))),  # parent[1] must be below 1
+        ((-1, 0, 0), (0, 0, 0), ((0,), (0,))),  # one attachment vector short
+        ((-1, 0), (0,), ((0,), (0,))),  # one label short
+        ((-1,), (0,), ((0, 0),)),  # two multiplicities for one pattern
+    ])
+    def test_malformed_tree_rejected(self, parent, labels, attachments):
+        with pytest.raises(ValueError):
+            PatternTree(parent, labels, attachments, (K3,))
 
     def test_overflow_raises(self):
         # long bare backbone on a dense graph: walk counts blow past 2**127-1
@@ -204,6 +224,26 @@ class TestHarness:
         report = tree_equivalence_report(g1, h1, [], rounds=2)
         assert report.ok
         assert not report.verdict.distinguished
+
+    def test_attachment_counts_once_per_graph(self, monkeypatch):
+        # K3 rooted at 0 and at 1 are one basis pattern of the count plan: one
+        # DP per graph for the initial colours and one for the attachments
+        k3b = RootedPattern(Graph("K3b", 3, (0,) * 3, K3.graph.edges), 1)
+        real = counting.hom_count_dp
+        calls = []
+
+        def spy(pattern, g):
+            calls.append((pattern.id, g.id))
+            return real(pattern, g)
+
+        for module in (counting, refinement, tree_module):
+            if hasattr(module, "hom_count_dp"):
+                monkeypatch.setattr(module, "hom_count_dp", spy)
+        report = tree_equivalence_report(
+            G2, H2, [K3, k3b], rounds=1,
+            budget=EnumerationBudget(depth=1, backbone=2, multiplicity=1))
+        assert report.ok and report.witness is not None
+        assert len(calls) == 4
 
     def test_unrooted_count_is_anchor_sum(self):
         tree = PatternTree((-1, 0), (0, 0), ((0,), (1,)), (K3,))
