@@ -138,11 +138,16 @@ def _first_graph(path: str, alphabet: LabelAlphabet):
 
 def _first_pattern(path: str, alphabet: LabelAlphabet) -> RootedPattern:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}", field="record") from exc
     if isinstance(data, list):
         if not data:
             raise ParseError(f"{path}: empty pattern set", field="record")
         data = data[0]
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: pattern record must be a JSON object", field="record")
     return parse_pattern(data, alphabet)
 
 

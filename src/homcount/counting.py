@@ -5,18 +5,20 @@ subgraph counts as integer combinations of shared basis hom counts.
 Counts are exact integers. Anything exceeding 2**127 - 1 raises
 :class:`CountOverflowError` instead of wrapping or saturating.
 
-The decomposition DP holds its tables in one of two representations, chosen
-per call before it runs. Dicts of Python ints, each value checked against the
-ceiling, serve every call by default. int64 numpy key/count arrays
-(:mod:`homcount.dp_arrays`) serve a call only when all of these hold for a
-pattern P on k vertices and a graph G on n vertices with maximum degree Δ and
-average degree d: P is connected and n * Δ**(k-1) < 2**63, which bounds every
-table value (proof at :func:`_use_arrays`); n**2 and n**(b-1), for the
-largest bag size b, are at most ``DENSE_LIMIT``, which bounds the kernel's
-dense arrays; and the entries the plan's tables are expected to hold on a
-random graph with G's n and d (:func:`_estimated_entries`) number at least
-``ARRAY_MIN_ENTRIES``. That module, and numpy with it, is imported only when
-the arrays are used. Both return Python ints.
+The decomposition DP has one output: the counts of a connected rooted pattern
+P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
+them. Its tables take one of two representations, chosen per call before it
+runs. Dicts of Python ints, each value checked against the ceiling, serve
+every call by default. int64 numpy key/count arrays
+(:mod:`homcount.dp_arrays`) serve a call only when all of these hold for P on
+k vertices and G on n vertices with maximum degree Δ and average degree d:
+n * Δ**(k-1) < 2**63, which bounds every table value (proof at
+:func:`_use_arrays`); n**2 and n**(b-1), for the largest bag size b, are at
+most ``DENSE_LIMIT``, which bounds the kernel's dense arrays; and the entries
+the plan's tables are expected to hold on a random graph with G's n and d
+(:func:`_estimated_entries`) number at least ``ARRAY_MIN_ENTRIES``. That
+module, and numpy with it, is imported only when the arrays are used. Both
+return Python ints.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from homcount.algebra import (
     quotient_classes,
     treewidth,
 )
-from homcount.graphs import Graph, RootedPattern, _bits, canonical_code, count_maps, is_connected
+from homcount.graphs import (
+    Graph, RootedPattern, _bits, canonical_code, connected_components, count_maps
+)
 
 MAX_COUNT = (1 << 127) - 1
 
@@ -106,24 +110,24 @@ class _DpStep:
 
 
 class _DpPlan(NamedTuple):
-    steps: tuple[_DpStep, ...]  # postorder, the root step last
-    capture: int  # rooted: the final forget, whose input holds the per-anchor counts; else -1
+    steps: tuple[_DpStep, ...]  # postorder; the last step's bag is (root,)
     largest_bag: int
     free_introduces: int  # introduce steps whose vertex has no prior neighbour
     linked_introduces: int  # introduce steps whose vertex has one or more
 
 
 @lru_cache(maxsize=512)
-def _dp_plan(pg: Graph, root: Optional[int]) -> _DpPlan:
-    """Compile a rooted-or-not pattern into nice-decomposition DP instructions."""
+def _dp_plan(p: RootedPattern) -> _DpPlan:
+    """Compile a rooted pattern into nice-decomposition DP instructions that
+    stop just before the root's own forget, so the last table is keyed by the
+    root's image alone."""
+    pg, root = p.graph, p.root
     width, td = treewidth(pg)
-    if root is not None:
-        top = next(i for i, b in enumerate(td.bags) if root in b)
-        nice = nice_decomposition(td, root_node=top, forget_last=root)
-    else:
-        nice = nice_decomposition(td)
+    top = next(i for i, b in enumerate(td.bags) if root in b)
+    nice = nice_decomposition(td, root_node=top, forget_last=root)
+    assert nice.nodes[-2].bag == (root,)
     steps = []
-    for nd in nice.nodes:
+    for nd in nice.nodes[:-1]:
         size = len(nd.bag)
         if nd.kind == "leaf":
             steps.append(_DpStep("leaf", (), -1, -1, (), size))
@@ -142,17 +146,9 @@ def _dp_plan(pg: Graph, root: Optional[int]) -> _DpPlan:
             steps.append(_DpStep("forget", nd.children, child_bag.index(nd.vertex), -1, (), size))
         else:
             steps.append(_DpStep("join", nd.children, -1, -1, (), size))
-    capture = -1
-    if root is not None:
-        capture = len(steps) - 1
-        child = nice.nodes[-1].children[0]
-        assert nice.nodes[-1].kind == "forget"
-        assert nice.nodes[child].bag == (root,)
     introduces = [s for s in steps if s.kind == "introduce"]
     free = sum(not s.prior_positions for s in introduces)
-    return _DpPlan(
-        tuple(steps), capture, max(s.size for s in steps), free, len(introduces) - free
-    )
+    return _DpPlan(tuple(steps), max(s.size for s in steps), free, len(introduces) - free)
 
 
 # Both kernels key a table entry by its bag's images in mixed radix n: the
@@ -186,7 +182,7 @@ def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
     return sum(sizes)
 
 
-def _use_arrays(pg: Graph, plan: _DpPlan, g: Graph) -> bool:
+def _use_arrays(p: RootedPattern, plan: _DpPlan, g: Graph) -> bool:
     """Whether the int64 array kernel is exact and worth it for this call.
 
     Bound: let P be connected with k vertices and Δ the maximum degree of G.
@@ -215,8 +211,8 @@ def _use_arrays(pg: Graph, plan: _DpPlan, g: Graph) -> bool:
     the 0.11 to 0.15 s that importing numpy costs, so one call alone
     recovers the import.
     """
-    n, k, big = g.n, pg.n, plan.largest_bag
-    if n == 0 or k == 0 or n ** max(2, big - 1) > DENSE_LIMIT:
+    n, k, big = g.n, p.graph.n, plan.largest_bag
+    if n == 0 or n ** max(2, big - 1) > DENSE_LIMIT:
         return False
     d = 2 * len(g.edges) / n
     # in the estimate an introduce multiplies by n or by at most max(d, 1), and
@@ -224,31 +220,26 @@ def _use_arrays(pg: Graph, plan: _DpPlan, g: Graph) -> bool:
     bound = len(plan.steps) * n**plan.free_introduces * max(d, 1.0) ** plan.linked_introduces
     if bound < ARRAY_MIN_ENTRIES or _estimated_entries(plan, n, d) < ARRAY_MIN_ENTRIES:
         return False
-    if not is_connected(pg):
-        return False
     delta = max(map(len, g.adjacency))
     return n * delta ** (k - 1) < INT64_LIMIT
 
 
-def _run_dp(pg: Graph, root: Optional[int], g: Graph):
-    """Execute the DP; returns (per-anchor counts or None, unrooted total)."""
-    if g.n == 0:
-        return (None, 1 if pg.n == 0 else 0) if root is None else ((), 0)
-    plan = _dp_plan(pg, root)
-    if _use_arrays(pg, plan, g):
+def _run_dp(p: RootedPattern, g: Graph) -> tuple[int, ...]:
+    """Execute the DP; returns p's hom count at every anchor of g."""
+    plan = _dp_plan(p)
+    if _use_arrays(p, plan, g):
         from homcount import dp_arrays  # loads numpy
 
         return dp_arrays.run_dp(plan, g)
     return _run_dp_dict(plan, g)
 
 
-def _run_dp_dict(plan: _DpPlan, g: Graph):
+def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
     """The DP on dicts of Python ints, checked against the 2**127-1 ceiling."""
-    steps, capture = plan.steps, plan.capture
+    steps = plan.steps
     n = g.n
     pows = [n**j for j in range(plan.largest_bag + 1)]
     tables: list[Optional[dict[int, int]]] = [None] * len(steps)
-    anchor_counts: Optional[list[int]] = None
     for i, step in enumerate(steps):
         if step.kind == "leaf":
             tables[i] = {0: 1}
@@ -276,10 +267,6 @@ def _run_dp_dict(plan: _DpPlan, g: Graph):
             (ci,) = step.children
             child = tables[ci]
             tables[ci] = None
-            if capture == i:
-                anchor_counts = [0] * n
-                for key, cnt in child.items():  # type: ignore[union-attr]
-                    anchor_counts[key] = _check(cnt)
             p = pows[step.pos]
             pn = p * n
             new = {}
@@ -300,29 +287,30 @@ def _run_dp_dict(plan: _DpPlan, g: Graph):
                 if other is not None:
                     new[key] = _check(cnt * other)
             tables[i] = new
-    final = tables[-1]
-    total = _check(final.get(0, 0)) if final else 0
-    if capture >= 0:
-        assert anchor_counts is not None
-        return tuple(anchor_counts), total
-    return None, total
+    anchor_counts = [0] * n
+    for key, cnt in tables[-1].items():  # type: ignore[union-attr]
+        anchor_counts[key] = cnt
+    return tuple(anchor_counts)
 
 
 def hom_count_dp(pattern: PatternLike, g: Graph) -> CountVector:
     """Homomorphism counts over a nice tree decomposition of the pattern.
 
-    Rooted patterns produce counts for every anchor vertex of ``g`` in one
-    pass; plain graphs produce the unrooted scalar. Bit-identical to
-    :func:`hom_count_brute` on every input. Graphs of up to 1024 vertices
-    (fewer when the pattern's largest bag exceeds 3) run on int64 arrays when
-    a bound proves the counts fit (connected pattern, n * Δ**(k-1) < 2**63)
-    and the tables are expected to be large; every other call runs on
-    Python-int dicts (see the module docstring).
+    A rooted pattern gives its count at every anchor of ``g`` in one pass,
+    and their sum as the total. A plain graph gives the unrooted scalar: the
+    product over its components, each rooted at its first vertex, of their
+    anchor sums (Lovász, *Large networks and graph limits*, 2012); the empty
+    pattern counts 1. Totals are checked against the 2**127-1 ceiling.
+    Bit-identical to :func:`hom_count_brute` on every input; the module
+    docstring says which calls run on int64 arrays.
     """
     if isinstance(pattern, RootedPattern):
-        counts, total = _run_dp(pattern.graph, pattern.root, g)
-        return CountVector(g.id, pattern.id, counts, total)
-    counts, total = _run_dp(pattern, None, g)
+        counts = _run_dp(pattern, g)
+        return CountVector(g.id, pattern.id, counts, _check(sum(counts)))
+    total = 1
+    for comp in connected_components(pattern):
+        component = RootedPattern(pattern.induced_subgraph(comp), 0)
+        total = _check(total * sum(_run_dp(component, g)))
     return CountVector(g.id, pattern.id, None, total)
 
 

@@ -1,12 +1,13 @@
 """The counting DP on int64 numpy arrays, for large graphs.
 
-Runs the same nice-decomposition plan as the dict kernel in
+Runs the same rooted nice-decomposition plan as the dict kernel in
 :mod:`homcount.counting`, on the same mixed-radix keys, with every table held
-as int64 key/count arrays. Exact only when the int64 bound checked by
-``counting._use_arrays`` holds, which also keeps ``n**2`` and ``n**(b-1)`` for
-the largest bag size b within ``counting.DENSE_LIMIT``, so the adjacency table
-and every forget's sum are dense arrays. ``counting`` imports this module, and
-with it numpy, only for the calls that pass that check.
+as int64 key/count arrays, and returns the same per-anchor counts. Exact only
+when the int64 bound checked by ``counting._use_arrays`` holds, which also
+keeps ``n**2`` and ``n**(b-1)`` for the largest bag size b within
+``counting.DENSE_LIMIT``, so the adjacency table and every forget's sum are
+dense arrays. ``counting`` imports this module, and with it numpy, only for
+the calls that pass that check.
 """
 
 from __future__ import annotations
@@ -32,16 +33,16 @@ def _concat(chunks):
     return np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
 
 
-def run_dp(plan, g: Graph):
+def run_dp(plan, g: Graph) -> tuple[int, ...]:
     """Execute ``plan`` (a ``counting._DpPlan``) on ``g`` (``g.n`` >= 1).
 
-    Returns (per-anchor counts or None, unrooted total) as Python ints. A
+    Returns the pattern's count at every anchor as Python ints. A
     table is an iterable of (keys, counts) chunks with distinct keys and
     positive counts. Introduce yields chunks of at most about ``CHUNK``
     entries as its consumer asks for them, so an introduce followed by a
     forget never holds its whole table. Forget and join materialise theirs.
     """
-    steps, capture = plan.steps, plan.capture
+    steps = plan.steps
     n = g.n
     pows = [n**j for j in range(plan.largest_bag + 1)]
     degree = np.fromiter(map(len, g.adjacency), np.int64, n)
@@ -94,7 +95,6 @@ def run_dp(plan, g: Graph):
         return [(keys, acc[keys])]
 
     tables: list = [None] * len(steps)
-    anchor_counts = None
     for i, step in enumerate(steps):
         if step.kind == "leaf":
             tables[i] = [(np.zeros(1, np.int64), np.ones(1, np.int64))]
@@ -104,14 +104,8 @@ def run_dp(plan, g: Graph):
             tables[ci] = None
         elif step.kind == "forget":
             (ci,) = step.children
-            child = tables[ci]
+            tables[i] = forget(tables[ci], step)
             tables[ci] = None
-            if capture == i:
-                keys, counts = _concat(child)
-                anchor_counts = np.zeros(n, np.int64)
-                anchor_counts[keys] = counts
-                child = [(keys, counts)]
-            tables[i] = forget(child, step)
         else:
             a, b = step.children
             ka, ca = _concat(tables[a])
@@ -119,8 +113,7 @@ def run_dp(plan, g: Graph):
             tables[a] = tables[b] = None
             keys, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
             tables[i] = [(keys, ca[ia] * cb[ib])]
-    _, counts = _concat(tables[-1])
-    total = int(counts.sum())
-    if capture >= 0:
-        return tuple(anchor_counts.tolist()), total
-    return None, total
+    keys, counts = _concat(tables[-1])
+    anchor_counts = np.zeros(n, np.int64)
+    anchor_counts[keys] = counts
+    return tuple(anchor_counts.tolist())

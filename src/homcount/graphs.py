@@ -208,12 +208,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def _record_from_line(line) -> dict:
-    if isinstance(line, dict):
-        return line
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", field="record") from exc
+    """A decoded record, or the record that a JSON text encodes."""
+    rec = line
+    if isinstance(line, str):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", field="record") from exc
     if not isinstance(rec, dict):
         raise ParseError("record must be a JSON object", field="record")
     return rec

@@ -60,6 +60,8 @@ def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
     out = []
     for i, rec in enumerate(data):
         try:
+            if not isinstance(rec, dict):
+                raise ParseError("pattern record must be a JSON object", field="record")
             out.append(parse_pattern(rec, alphabet))
         except ParseError as exc:
             raise ParseError(f"{path}[{i}]: {exc}", field=exc.field) from exc

@@ -233,15 +233,16 @@ def k_wl(g: Graph, h: Graph, k: int, max_rounds: Optional[int] = None) -> Verdic
 def distinguishability_matrix(
     graphs: Sequence[Graph], patterns: Sequence[RootedPattern]
 ) -> dict[tuple[str, str], Verdict]:
-    """All-pairs hom-augmented refinement verdicts; each pair is refined on
-    its own, so results are order-independent."""
+    """All-pairs hom-augmented refinement verdicts keyed by graph id; each
+    pair is refined on its own, so results are order-independent. Ids must
+    be distinct (ValueError)."""
     out: dict[tuple[str, str], Verdict] = {}
+    for a in graphs:
+        if (a.id, a.id) in out:
+            raise ValueError(f"duplicate graph id {a.id!r}")
+        out[(a.id, a.id)] = Verdict(False, None)
     for i, a in enumerate(graphs):
-        for b in graphs[i:]:
-            if a.id == b.id and a is b:
-                verdict = Verdict(False, None)
-            else:
-                _, _, verdict = f_wl(a, b, patterns)
-            out[(a.id, b.id)] = verdict
-            out[(b.id, a.id)] = verdict
+        for b in graphs[i + 1:]:
+            _, _, verdict = f_wl(a, b, patterns)
+            out[(a.id, b.id)] = out[(b.id, a.id)] = verdict
     return out

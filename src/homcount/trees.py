@@ -15,6 +15,7 @@ computed once through the count plan (:func:`homcount.counting.rooted_counts`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 from homcount.counting import CountVector, _check, rooted_counts
@@ -166,41 +167,32 @@ def unrooted_tree_count(
 
 
 def _backbone_shapes(max_vertices: int, max_depth: int):
-    """Rooted trees as parent arrays; duplicates up to isomorphism are fine,
-    the caller dedups flattened forms."""
-    for t in range(1, max_vertices + 1):
-        def rec(parents: list[int], depths: list[int]):
-            if len(parents) == t:
-                yield tuple(parents)
-                return
-            i = len(parents)
-            for p in range(i):
-                if depths[p] + 1 <= max_depth:
-                    parents.append(p)
-                    depths.append(depths[p] + 1)
-                    yield from rec(parents, depths)
-                    parents.pop()
-                    depths.pop()
+    """Rooted trees as parent arrays (``parent[v] < v``) of depth at most
+    ``max_depth``, by size, then lexicographically; duplicates up to
+    isomorphism are fine, the caller dedups flattened forms. Prefixes deeper
+    than ``max_depth`` are cut, so the work follows the shapes kept."""
 
-        if t == 1:
-            yield (-1,)
-        else:
-            yield from rec([-1], [0])
+    def grow(parent: tuple[int, ...], depth: tuple[int, ...], t: int):
+        if len(parent) == t:
+            yield parent
+            return
+        for p, d in enumerate(depth):
+            if d < max_depth:
+                yield from grow(parent + (p,), depth + (d + 1,), t)
+
+    for t in range(1, max_vertices + 1):
+        yield from grow((-1,), (0,), t)
 
 
 def _multiplicity_vectors(num_patterns: int, max_total: int):
-    vec = [0] * num_patterns
-
-    def rec(i: int, left: int):
-        if i == num_patterns:
-            yield tuple(vec)
-            return
-        for m in range(left + 1):
-            vec[i] = m
-            yield from rec(i + 1, left - m)
-        vec[i] = 0
-
-    yield from rec(0, max_total)
+    """Vectors of nonnegative multiplicities summing to at most
+    ``max_total``, lexicographically, built without the vectors over it."""
+    if num_patterns == 0:
+        yield ()
+        return
+    for m in range(max_total + 1):
+        for rest in _multiplicity_vectors(num_patterns - 1, max_total - m):
+            yield (m,) + rest
 
 
 def enumerate_pattern_trees(
@@ -214,26 +206,19 @@ def enumerate_pattern_trees(
     Returns (trees, truncated); ``truncated`` reports that the hard cap cut
     the stream short.
     """
-    from itertools import product
-
     patterns = tuple(patterns)
+    vectors = list(_multiplicity_vectors(len(patterns), budget.multiplicity))
+    options = {  # per backbone label: the vectors attaching only patterns rooted there
+        label: [s for s in vectors
+                if all(m == 0 or p.root_label == label for p, m in zip(patterns, s))]
+        for label in alphabet
+    }
     seen: dict[bytes, PatternTree] = {}
     truncated = False
     for parent in _backbone_shapes(budget.backbone, budget.depth):
         t = len(parent)
         for labels in product(alphabet, repeat=t):
-            per_vertex = []
-            for v in range(t):
-                options = [
-                    s
-                    for s in _multiplicity_vectors(len(patterns), budget.multiplicity)
-                    if all(
-                        m == 0 or patterns[i].root_label == labels[v]
-                        for i, m in enumerate(s)
-                    )
-                ]
-                per_vertex.append(options)
-            for assignment in product(*per_vertex):
+            for assignment in product(*(options[label] for label in labels)):
                 tree = PatternTree(parent, labels, tuple(assignment), patterns)
                 code = canonical_code(flatten(tree).graph, 0)
                 if code not in seen:

@@ -256,6 +256,33 @@ class TestOverflow:
         assert err.startswith("error: overflow: graph g1") and err.count("\n") == 1
 
 
+class TestMalformedPatterns:
+    """A pattern file whose record is not a JSON object, or that is not JSON,
+    exits 2 with one ``error: parse:`` line in every subcommand that reads one."""
+
+    COMMANDS = {
+        "features": ["features", "A", "--patterns", "P"],
+        "fwl": ["wl", "A", "B", "--variant", "fwl", "--patterns", "P"],
+        "witness": ["witness", "A", "B", "--patterns", "P"],
+        "advise": ["advise", "--patterns", "P", "--candidates", "P"],
+        "count": ["count", "--pattern", "P", "--graph", "A"],
+        "cfi": ["gen", "--family", "cfi", "--pattern", "P"],
+    }
+
+    @pytest.mark.parametrize("text", [
+        "[5]", "[null]", "[true]", "[[0, 1]]",
+        json.dumps([json.dumps({"id": "K1", "n": 1, "edges": [], "root": 0})]), "5", "{",
+    ], ids=["number", "null", "boolean", "list", "string", "bare-number", "bad-json"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exit_2(self, capsys, tmp_path, fixture_files, command, text):
+        a, b = fixture_files
+        p = write(tmp_path / "bad.json", text)
+        argv = [{"A": a, "B": b, "P": p}.get(x, x) for x in self.COMMANDS[command]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: parse:") and err.count("\n") == 1, err
+
+
 class TestAdvise:
     def test_golden_cases(self, capsys, tmp_path, k3_file):
         bowtie = {"id": "bowtie", "n": 5, "root": 0,

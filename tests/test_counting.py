@@ -216,7 +216,7 @@ class TestDpMatchesBrute:
             build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)], gid="dstar"), 0
         )
         for pat in (star3, spider, double_star):
-            steps = _dp_plan(pat.graph, pat.root).steps
+            steps = _dp_plan(pat).steps
             assert any(s.kind == "join" for s in steps)
         rng = random.Random(47)
         for _ in range(20):
@@ -483,6 +483,17 @@ class TestVectorAndMatrix:
         with pytest.raises(CountOverflowError):
             _check(MAX_COUNT + 1)
 
+    @pytest.mark.parametrize("kernel", ["arrays", "dicts"])
+    def test_rooted_total_checked(self, monkeypatch, kernel):
+        # rooted K2 on K4 counts 3 at each anchor and 12 in all: the anchors
+        # fit under a ceiling of 11, the total does not
+        if kernel == "arrays":
+            monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        monkeypatch.setattr(counting, "MAX_COUNT", 11)
+        assert counting._run_dp(lpath(1), complete(4)) == (3,) * 4
+        with pytest.raises(CountOverflowError):
+            hom_count_dp(lpath(1), complete(4))
+
     def test_overflow_flagged_not_raised(self, monkeypatch):
         import homcount.counting as counting
 
@@ -539,16 +550,20 @@ BRANCHING = (  # decompositions with join steps
 KERNEL_PATTERNS = BRANCHING + (clique(3, root=0), clique(4, root=1), cycle(5, root=2), lpath(3))
 
 
-def arrays(pg, root, g):
-    return dp_arrays.run_dp(_dp_plan(pg, root), g)
+def arrays(pat, g):
+    return dp_arrays.run_dp(_dp_plan(pat), g)
 
 
-def dicts(pg, root, g):
-    return _run_dp_dict(_dp_plan(pg, root), g)
+def dicts(pat, g):
+    return _run_dp_dict(_dp_plan(pat), g)
 
 
-def uses_arrays(pg, root, g):
-    return _use_arrays(pg, _dp_plan(pg, root), g)
+def uses_arrays(pat, g):
+    return _use_arrays(pat, _dp_plan(pat), g)
+
+
+def reroot(pat, root):
+    return RootedPattern(pat.graph, root)
 
 
 class TestArrayKernel:
@@ -556,22 +571,22 @@ class TestArrayKernel:
 
     def test_rooted_unrooted_and_join_steps_match_brute(self):
         for pat in BRANCHING:
-            assert any(s.kind == "join" for s in _dp_plan(pat.graph, None).steps)
+            assert any(s.kind == "join" for s in _dp_plan(reroot(pat, 0)).steps)
         rng = random.Random(61)
         for trial in range(25):
             g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.6]),
                              labels=rng.choice([1, 2]))
             for pat in KERNEL_PATTERNS:
                 brute = tuple(hom_count_brute(pat, g, v) for v in range(g.n))
-                assert arrays(pat.graph, pat.root, g) == (brute, sum(brute))
-                assert arrays(pat.graph, None, g) == (None, hom_count_brute(pat.graph, g))
+                assert arrays(pat, g) == brute
+                assert sum(arrays(reroot(pat, 0), g)) == hom_count_brute(pat.graph, g)
 
     @given(graphs_strategy())
     @settings(max_examples=60, deadline=None)
     def test_equals_dict_kernel(self, g):
         for pat in KERNEL_PATTERNS + (cycle(6, root=0),):
-            for root in (pat.root, None):
-                assert arrays(pat.graph, root, g) == dicts(pat.graph, root, g)
+            for root in (pat.root, 0):
+                assert arrays(reroot(pat, root), g) == dicts(reroot(pat, root), g)
 
     def test_one_entry_chunks(self, monkeypatch):
         # every introduce split at every entry: the path of tables past one chunk
@@ -580,14 +595,14 @@ class TestArrayKernel:
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 9), 0.5, labels=2)
             for pat in KERNEL_PATTERNS:
-                for root in (pat.root, None):
-                    assert arrays(pat.graph, root, g) == dicts(pat.graph, root, g)
+                for root in (pat.root, 0):
+                    assert arrays(reroot(pat, root), g) == dicts(reroot(pat, root), g)
 
     def test_counts_are_python_ints(self):
-        counts, total = arrays(cycle(4, root=0).graph, 0, G1)
+        counts = arrays(cycle(4, root=0), G1)
         assert counts and all(type(c) is int for c in counts)
-        assert type(total) is int
-        assert type(arrays(clique(3), None, G1)[1]) is int
+        assert type(hom_count_dp(cycle(4, root=0), G1).total) is int
+        assert type(hom_count_dp(clique(3), G1).total) is int
 
 
 def complete(n, gid="kn"):
@@ -613,8 +628,8 @@ class TestDispatch:
         kn = complete(100)
         for k, bounded in ((9, True), (10, False)):
             pg = path_graph(k)
-            for root in (None, 0):
-                assert uses_arrays(pg, root, kn) == bounded
+            for root in (0, k - 1):
+                assert uses_arrays(RootedPattern(pg, root), kn) == bounded
             with monkeypatch.context() as m:
                 if bounded:
                     forbid(m, counting, "_run_dp_dict")
@@ -632,12 +647,12 @@ class TestDispatch:
             return build(n, sorted({tuple(sorted((v, (v + j) % n)))
                                     for v in range(n) for j in range(1, reach + 1)}))
 
-        p8 = path_graph(8)  # largest bag 2
-        assert uses_arrays(p8, 0, circulant(1024))
-        assert not uses_arrays(p8, 0, circulant(1025))
+        p8 = RootedPattern(path_graph(8), 0)  # largest bag 2
+        assert uses_arrays(p8, circulant(1024))
+        assert not uses_arrays(p8, circulant(1025))
         k4 = clique(4, root=0)  # largest bag 4
-        assert uses_arrays(k4.graph, 0, complete(101))
-        assert not uses_arrays(k4.graph, 0, complete(102))
+        assert uses_arrays(k4, complete(101))
+        assert not uses_arrays(k4, complete(102))
 
     def test_small_tables_on_a_large_graph_take_dict_path(self):
         # like the benchmark's graph: C3 and C4 save less than importing numpy
@@ -648,7 +663,7 @@ class TestDispatch:
             edges.add((a, b))
         g = build(1000, sorted(edges))
         for k, large in ((3, False), (4, False), (5, True), (6, True), (7, True)):
-            assert uses_arrays(cycle(k), 0, g) == large, k
+            assert uses_arrays(cycle(k, root=0), g) == large, k
 
     def test_quick_bound_covers_the_estimate(self):
         # _use_arrays rejects on the bound before estimating; it must never
@@ -659,19 +674,34 @@ class TestDispatch:
             n = rng.randrange(2, 300)
             d = rng.uniform(0, min(n - 1, 12))
             for pat in patterns:
-                pg, root = (pat.graph, pat.root) if isinstance(pat, RootedPattern) else (pat, None)
-                plan = _dp_plan(pg, root)
+                plan = _dp_plan(pat if isinstance(pat, RootedPattern) else RootedPattern(pat, 0))
                 bound = len(plan.steps) * n**plan.free_introduces
                 bound *= max(d, 1.0) ** plan.linked_introduces
                 assert counting._estimated_entries(plan, n, d) <= bound * (1 + 1e-9)
 
-    def test_disconnected_pattern_takes_exact_path(self, monkeypatch):
-        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)  # connectivity alone decides
-        two_edges = build(4, [(0, 1), (2, 3)], gid="2k2")
+    @pytest.mark.parametrize("kernel", ["arrays", "dicts"])
+    def test_disconnected_pattern_is_product_of_components(self, monkeypatch, kernel):
+        # an unrooted count multiplies its components' anchor sums
+        if kernel == "arrays":
+            monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        else:
+            forbid(monkeypatch, dp_arrays, "run_dp")
+        patterns = [
+            build(4, [(0, 1), (2, 3)], gid="2k2"),
+            build(5, [(0, 1), (1, 2), (0, 2), (3, 4)], gid="k3+k2"),
+            build(3, [(0, 1)], gid="k2+k1"),
+            build(2, [], gid="2k1"),
+            build(0, [], gid="empty"),
+        ]
+        rng = random.Random(83)
+        graphs = [build(0, [], gid="e")]
+        graphs += [random_graph(rng, rng.randrange(1, 7), 0.5, labels=rng.choice([1, 2]))
+                   for _ in range(15)]
+        for g in graphs:
+            for pg in patterns:
+                assert hom_count_dp(pg, g).total == hom_count_brute(pg, g), (pg.id, g.n)
         kn = complete(100)
-        assert not uses_arrays(two_edges, None, kn)
-        forbid(monkeypatch, dp_arrays, "run_dp")
-        assert hom_count_dp(two_edges, kn).total == (2 * len(kn.edges)) ** 2
+        assert hom_count_dp(patterns[0], kn).total == (2 * len(kn.edges)) ** 2
 
     def test_molecule_and_family_inputs_take_dict_path(self):
         from homcount.algebra import spasm
@@ -693,7 +723,7 @@ class TestDispatch:
         patterns += list(spasm(cycle(6, root=0)))
         for g in molecules + families:
             for pat in patterns:
-                assert not uses_arrays(pat.graph, pat.root, g), (g.id, pat.id)
+                assert not uses_arrays(pat, g), (g.id, pat.id)
 
     def test_features_run_does_not_import_numpy(self, tmp_path):
         import json

@@ -78,6 +78,14 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph('{"id":"x","n":2,"edges":[[0,1]],"labels":[1]}')
 
+    @pytest.mark.parametrize("record", [5, None, True, [{"id": "x", "n": 1}], b'{"id":"x","n":1}',
+                                        "5", "[]"])
+    def test_record_must_be_object_or_its_json_text(self, record):
+        for parse in (parse_graph, parse_pattern):
+            with pytest.raises(ParseError) as err:
+                parse(record)
+            assert err.value.field == "record"
+
     @pytest.mark.parametrize("label", ["true", "false", "1.0", "null", "[1]", '{"a": 1}'])
     def test_label_must_be_string_or_integer(self, label):
         with pytest.raises(ParseError) as err:

@@ -282,6 +282,12 @@ class TestMatrix:
         assert table[("g1", "h1")].distinguished
         assert table[("h1", "g1")].distinguished
 
+    def test_shared_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate graph id 'g1'"):
+            distinguishability_matrix([G1, H1.relabeled(range(6), "g1")], [clique(3, root=0)])
+        with pytest.raises(ValueError, match="duplicate graph id 'g2'"):
+            distinguishability_matrix([G2, G2], [clique(3, root=0)])
+
     def test_self_pair_never_distinguished(self):
         table = distinguishability_matrix([G2], [clique(3, root=0)])
         assert not table[("g2", "g2")].distinguished

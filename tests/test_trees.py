@@ -172,6 +172,16 @@ class TestEnumeration:
         assert len(codes) == len(set(codes))
         assert codes == sorted(codes)
 
+    def test_generator_order_pinned(self):
+        # the truncated stream keeps the first trees in this order
+        assert list(tree_module._backbone_shapes(4, 2)) == [
+            (-1,), (-1, 0), (-1, 0, 0), (-1, 0, 1), (-1, 0, 0, 0),
+            (-1, 0, 0, 1), (-1, 0, 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 1),
+        ]
+        assert list(tree_module._multiplicity_vectors(2, 2)) == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
+        ]
+
     def test_truncation_signal(self):
         trees, truncated = enumerate_pattern_trees(
             [K3], EnumerationBudget(depth=2, backbone=4, multiplicity=2, max_trees=5)
