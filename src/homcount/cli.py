@@ -20,7 +20,6 @@ from homcount.counting import (
     _check_anchor,
     hom_count_brute,
     hom_vector,
-    unflagged,
 )
 from homcount.families import (
     cfi_pair,
@@ -264,11 +263,11 @@ def _cmd_count(args) -> int:
         target = pattern if args.anchor is not None else pattern.graph
         result["count"] = hom_count_brute(target, g, args.anchor)
     else:
-        vec = unflagged(hom_vector([pattern], g, args.mode)[0])
+        counts = hom_vector([pattern], g, args.mode)[0]
         if args.anchor is not None:
-            result["count"] = vec.counts[args.anchor]
+            result["count"] = counts[args.anchor]
         else:
-            result.update(counts=list(vec.counts), total=vec.total)
+            result.update(counts=list(counts), total=sum(counts))
     with _open_output(args.output) as out:
         json.dump(result, out)
         out.write("\n")
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     except CountOverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return EXIT_FAILED_CHECK
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

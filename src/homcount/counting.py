@@ -2,8 +2,9 @@
 for all-anchor rooted counts, and count plans, which give hom, injective and
 subgraph counts as integer combinations of shared basis hom counts.
 
-Counts are exact integers. Anything exceeding 2**127 - 1 raises
-:class:`CountOverflowError` instead of wrapping or saturating.
+Counts are exact integers: a rooted pattern's counts are a tuple with one int
+per anchor. Anything exceeding 2**127 - 1 raises :class:`CountOverflowError`
+instead of wrapping or saturating; callers that must keep going catch it.
 
 The decomposition DP has one output: the counts of a connected rooted pattern
 P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
@@ -44,26 +45,6 @@ PatternLike = Union[RootedPattern, Graph]
 
 class CountOverflowError(ArithmeticError):
     """A checked count exceeded 2**127 - 1."""
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Rooted per-anchor counts (``counts``) or an unrooted scalar (``total``).
-
-    ``overflow`` marks a vector whose counts are invalid because a checked
-    operation overflowed; kernels raise instead, the flag is for batch paths
-    that must keep going.
-    """
-
-    graph_id: str
-    pattern_id: str
-    counts: Optional[tuple[int, ...]]
-    total: int
-    overflow: bool = False
-
-    def __post_init__(self):
-        if not self.overflow and self.counts is not None:
-            assert all(c >= 0 for c in self.counts)
 
 
 def _check(value: int) -> int:
@@ -293,25 +274,26 @@ def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
     return tuple(anchor_counts)
 
 
-def hom_count_dp(pattern: PatternLike, g: Graph) -> CountVector:
+def hom_count_dp(pattern: PatternLike, g: Graph) -> Union[tuple[int, ...], int]:
     """Homomorphism counts over a nice tree decomposition of the pattern.
 
-    A rooted pattern gives its count at every anchor of ``g`` in one pass,
-    and their sum as the total. A plain graph gives the unrooted scalar: the
-    product over its components, each rooted at its first vertex, of their
-    anchor sums (Lovász, *Large networks and graph limits*, 2012); the empty
-    pattern counts 1. Totals are checked against the 2**127-1 ceiling.
-    Bit-identical to :func:`hom_count_brute` on every input; the module
-    docstring says which calls run on int64 arrays.
+    A rooted pattern gives its count at every anchor of ``g`` in one pass. A
+    plain graph gives the unrooted scalar: the product over its components,
+    each rooted at its first vertex, of their anchor sums (Lovász, *Large
+    networks and graph limits*, 2012); the empty pattern counts 1. Anchor sums
+    and products are checked against the 2**127-1 ceiling. Bit-identical to
+    :func:`hom_count_brute` on every input; the module docstring says which
+    calls run on int64 arrays.
     """
     if isinstance(pattern, RootedPattern):
         counts = _run_dp(pattern, g)
-        return CountVector(g.id, pattern.id, counts, _check(sum(counts)))
+        _check(sum(counts))
+        return counts
     total = 1
     for comp in connected_components(pattern):
         component = RootedPattern(pattern.induced_subgraph(comp), 0)
         total = _check(total * sum(_run_dp(component, g)))
-    return CountVector(g.id, pattern.id, None, total)
+    return total
 
 
 # --- count plans: hom, injective and subgraph counts ------------------------------
@@ -344,75 +326,43 @@ def count_plan(patterns: tuple[RootedPattern, ...], mode: str) -> CountPlan:
     return CountPlan(tuple(q for _, q in basis.values()), tuple(terms), divisors)
 
 
-def _combine(p: RootedPattern, g: Graph, terms, divisor: int) -> CountVector:
-    """The weighted sum of p's basis vectors, checked against the ceiling,
-    then divided exactly; a unit term passes its basis vector through."""
-    if any(vec is None for vec, _ in terms):
-        raise CountOverflowError("a basis count exceeds 2**127-1")
+def _combine(terms, divisor: int) -> tuple[int, ...]:
+    """The weighted sum of basis count tuples, checked against the ceiling,
+    then divided exactly; a unit term returns its basis tuple as is."""
     (first, weight), *rest = terms
-    if not rest and weight == 1 and divisor == 1 and first.pattern_id == p.id:
+    if not rest and weight == 1 and divisor == 1:
         return first
     counts = []
-    for v in range(g.n):
-        c = _check(sum(w * vec.counts[v] for vec, w in terms))
+    for v in range(len(first)):
+        c = _check(sum(w * vec[v] for vec, w in terms))
         q, r = divmod(c, divisor)
         if r or c < 0:
             raise AssertionError(f"inj count {c} negative or not divisible by {divisor}")
         counts.append(q)
-    return CountVector(g.id, p.id, tuple(counts), sum(counts))
+    return tuple(counts)
 
 
 def hom_vector(
     patterns: Sequence[RootedPattern], g: Graph, mode: str = "hom"
-) -> list[CountVector]:
-    """One rooted CountVector per pattern, in pattern order, in ``mode`` hom,
-    inj or sub: one DP per basis pattern of their :func:`count_plan`. A
-    pattern using an overflowing count is flagged; the others go on."""
+) -> list[tuple[int, ...]]:
+    """Each pattern's per-anchor counts on g, in pattern order, in ``mode``
+    hom, inj or sub: one DP per basis pattern of their :func:`count_plan`.
+    Raises CountOverflowError if any count it forms exceeds the ceiling."""
     plan = count_plan(tuple(patterns), mode)
-    basis: list[Optional[CountVector]] = []
-    for q in plan.basis:
-        try:
-            basis.append(hom_count_dp(q, g))
-        except CountOverflowError:
-            basis.append(None)
-    out = []
-    for p, row, divisor in zip(patterns, plan.terms, plan.divisors):
-        try:
-            out.append(_combine(p, g, [(basis[i], w) for i, w in row], divisor))
-        except CountOverflowError:
-            out.append(CountVector(g.id, p.id, None, 0, overflow=True))
-    return out
-
-
-def unflagged(vec: CountVector) -> CountVector:
-    """``vec``, or CountOverflowError if it is flagged."""
-    if vec.overflow:
-        raise CountOverflowError("count exceeds 2**127-1")
-    return vec
-
-
-def rooted_counts(patterns: Sequence[RootedPattern], g: Graph) -> list[tuple[int, ...]]:
-    """Each pattern's per-anchor hom counts on g from :func:`hom_vector`, or
-    CountOverflowError if any of them overflows."""
-    return [unflagged(vec).counts for vec in hom_vector(patterns, g)]  # type: ignore[misc]
-
-
-def inj_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
-    """Injective homomorphism counts at every anchor."""
-    return unflagged(hom_vector([p], g, "inj")[0]).counts  # type: ignore[return-value]
+    basis = [hom_count_dp(q, g) for q in plan.basis]
+    return [
+        _combine([(basis[i], w) for i, w in row], divisor)
+        for row, divisor in zip(plan.terms, plan.divisors)
+    ]
 
 
 def inj_count(p: RootedPattern, g: Graph, anchor: int) -> int:
     """Number of injective homomorphisms sending the root to ``anchor``."""
     _check_anchor(anchor, g)
-    return inj_vector(p, g)[anchor]
-
-
-def sub_vector(p: RootedPattern, g: Graph) -> tuple[int, ...]:
-    """Rooted subgraph-isomorphism counts at every anchor."""
-    return unflagged(hom_vector([p], g, "sub")[0]).counts  # type: ignore[return-value]
+    return hom_vector([p], g, "inj")[0][anchor]
 
 
 def sub_count(p: RootedPattern, g: Graph, anchor: int) -> int:
+    """Number of subgraphs isomorphic to p with its root at ``anchor``."""
     _check_anchor(anchor, g)
-    return sub_vector(p, g)[anchor]
+    return hom_vector([p], g, "sub")[0][anchor]

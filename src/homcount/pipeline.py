@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
-from homcount.counting import hom_count_brute, hom_vector
+from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
 from homcount.graphs import (
     Graph,
     LabelAlphabet,
@@ -94,17 +94,11 @@ class FeatureTable:
 
 def _count_rows(args):
     g, patterns, mode = args
-    vecs = hom_vector(patterns, g, mode)
-    overflow = any(v.overflow for v in vecs)
-    rows = []
-    for v in range(g.n):
-        if overflow:
-            rows.append((g.id, v, g.labels[v], None))
-        else:
-            rows.append(
-                (g.id, v, g.labels[v], tuple(vec.counts[v] for vec in vecs))
-            )
-    return rows, overflow
+    try:
+        vecs = hom_vector(patterns, g, mode)
+    except CountOverflowError:  # the graph's rows are flagged NA, the run goes on
+        return [(g.id, v, g.labels[v], None) for v in range(g.n)], True
+    return [(g.id, v, g.labels[v], tuple(vec[v] for vec in vecs)) for v in range(g.n)], False
 
 
 def _all_count_rows(graphs, patterns, mode, threads):
@@ -322,6 +316,7 @@ def advise(
                     )
                 )
                 continue
+        width = treewidth(q.graph)[0]  # before core_of, so its 14-vertex guard fails fast
         core = core_of(q)
         k = treewidth(core.graph)[0]
         per_base = []
@@ -349,5 +344,5 @@ def advise(
             verdicts.append(CandidateVerdict(q.id, "GUARANTEED_GAIN", rule, evidence))
         else:
             verdicts.append(CandidateVerdict(q.id, "UNKNOWN", None, evidence))
-        kept_tw.append(treewidth(q.graph)[0])
+        kept_tw.append(width)
     return AdvisorReport(tuple(verdicts), max(kept_tw))

@@ -14,7 +14,7 @@ from itertools import chain, islice, product
 from typing import Optional, Sequence
 
 from homcount.algebra import SizeGuardError
-from homcount.counting import rooted_counts
+from homcount.counting import hom_vector
 from homcount.graphs import Graph, RootedPattern, neighbour_signatures, refine
 
 # Cap on the substituted-tuple entries one k-WL round builds, g.n^(k+1) +
@@ -146,7 +146,7 @@ def f_wl(
 
 
 def _hom_init(g: Graph, patterns: Sequence[RootedPattern]) -> list:
-    vectors = rooted_counts(patterns, g)
+    vectors = hom_vector(patterns, g)
     return [(g.labels[v],) + tuple(vec[v] for vec in vectors) for v in range(g.n)]
 
 

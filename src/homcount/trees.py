@@ -9,7 +9,9 @@ satisfy
                     * prod_children ( sum_{v' in N(v)} hom(T_i^{c_i}, G^{v'}) )
 
 which the evaluator applies bottom-up, over each graph's attachment counts
-computed once through the count plan (:func:`homcount.counting.rooted_counts`).
+computed once through the count plan (:func:`homcount.counting.hom_vector`).
+Like every rooted count, a tree's counts are a tuple of ints, one per anchor;
+each product and their sum are checked against the 2**127-1 ceiling.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from homcount.counting import CountVector, _check, rooted_counts
+from homcount.counting import _check, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, normalize_edges
 from homcount.refinement import Verdict, f_wl
 
@@ -124,16 +126,17 @@ def flatten(tree: PatternTree) -> RootedPattern:
 
 def hom_pattern_tree(
     tree: PatternTree, g: Graph, attachments: Optional[Sequence[Sequence[int]]] = None
-) -> CountVector:
+) -> tuple[int, ...]:
     """Per-anchor counts by the bottom-up recursion; equals brute counting of
-    the flattened pattern at every vertex.
+    the flattened pattern at every vertex. Their sum, the count of the
+    unrooted flattened tree, is checked against the ceiling too.
 
     ``attachments`` holds each of the tree's patterns' per-anchor counts on g
-    (default: :func:`homcount.counting.rooted_counts`); pass them to count
+    (default: :func:`homcount.counting.hom_vector`); pass them to count
     many trees over one pattern list on one graph.
     """
     if attachments is None:
-        attachments = rooted_counts(tree.patterns, g)
+        attachments = hom_vector(tree.patterns, g)
     n = g.n
     adjacency = g.adjacency
     kids = tree.children()
@@ -151,16 +154,8 @@ def hom_pattern_tree(
                 if base[v]:
                     base[v] = _check(base[v] * sum(child[u] for u in adjacency[v]))
         val[s] = base
-    counts = tuple(val[0])
-    return CountVector(g.id, f"tree:{tree.signature()}", counts, sum(counts))
-
-
-def unrooted_tree_count(
-    tree: PatternTree, g: Graph, attachments: Optional[Sequence[Sequence[int]]] = None
-) -> int:
-    """Count of maps from the unrooted flattened tree: the anchor sum works
-    because every map sends the backbone root somewhere."""
-    return hom_pattern_tree(tree, g, attachments).total
+    _check(sum(val[0]))
+    return tuple(val[0])
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -324,7 +319,7 @@ def tree_equivalence_report(
         trees, truncated = list(trees), False
     col_g, col_h, verdict = f_wl(g, h, patterns, max_rounds=rounds)
 
-    attach_g, attach_h = rooted_counts(patterns, g), rooted_counts(patterns, h)
+    attach_g, attach_h = hom_vector(patterns, g), hom_vector(patterns, h)
     per_tree = [
         (tree, hom_pattern_tree(tree, g, attach_g), hom_pattern_tree(tree, h, attach_h))
         for tree in trees
@@ -343,10 +338,7 @@ def tree_equivalence_report(
                 continue
             checked += 1
             for color, members in classes.items():
-                vals = {
-                    (cg.counts[v] if side == 0 else ch.counts[v])  # type: ignore[index]
-                    for side, v in members
-                }
+                vals = {(cg if side == 0 else ch)[v] for side, v in members}
                 if len(vals) > 1:
                     violations.append(
                         f"round {d} color {color}: counts {sorted(vals)} "
@@ -370,8 +362,8 @@ def tree_equivalence_report(
             for tree, cg, ch in per_tree:
                 if tree.depth > split_round:
                     continue
-                if cg.counts[v] != ch.counts[w]:  # type: ignore[index]
-                    witness = Witness(tree, cg.counts[v], ch.counts[w], "vertex", (v, w))
+                if cg[v] != ch[w]:
+                    witness = Witness(tree, cg[v], ch[w], "vertex", (v, w))
                     break
     elif verdict.distinguished:
         searched = True
@@ -379,8 +371,8 @@ def tree_equivalence_report(
         for tree, cg, ch in per_tree:
             if tree.depth > limit:
                 continue
-            if cg.total != ch.total:
-                witness = Witness(tree, cg.total, ch.total, "graph")
+            if sum(cg) != sum(ch):
+                witness = Witness(tree, sum(cg), sum(ch), "graph")
                 break
 
     return HarnessReport(

@@ -300,6 +300,17 @@ class TestAdvise:
         assert verdicts["K4"]["rule"] == "treewidth"
         assert report["dimension_bound"] == 3
 
+    def test_large_candidate_trips_guard_before_core_search(self, capsys, monkeypatch,
+                                                             tmp_path, k3_file):
+        from homcount import pipeline
+
+        monkeypatch.setattr(pipeline, "core_of", lambda q: pytest.fail("core_of ran"))
+        c17 = {"id": "C17", "n": 17, "root": 0, "edges": [[i, (i + 1) % 17] for i in range(17)]}
+        cands = write(tmp_path / "c17.json", json.dumps([c17]))
+        code, out, err = run(capsys, "advise", "--patterns", k3_file, "--candidates", cands)
+        assert code == 3 and out == ""
+        assert err == "error: guard: exact treewidth limited to 14 vertices, got 17\n"
+
 
 class TestWitness:
     def test_fig2_witness(self, capsys, fig2_files, k3_file):
@@ -409,3 +420,15 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"graph": "g1", "pattern": "K3", "mode": mode,
                                    "counts": counts, "total": sum(counts)}
+
+
+def test_index_error_in_a_handler_propagates(monkeypatch, fixture_files, k3_file):
+    # an IndexError is a program fault, not bad input: it must not exit 2
+    from homcount import cli
+
+    def fault(args):
+        raise IndexError("fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "count", fault)
+    with pytest.raises(IndexError):
+        main(["count", "--pattern", k3_file, "--graph", fixture_files[0]])

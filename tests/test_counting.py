@@ -11,7 +11,6 @@ from homcount.algebra import join
 from homcount.counting import (
     MAX_COUNT,
     CountOverflowError,
-    CountVector,
     _dp_plan,
     _run_dp_dict,
     _use_arrays,
@@ -19,9 +18,7 @@ from homcount.counting import (
     hom_count_dp,
     hom_vector,
     inj_count,
-    inj_vector,
     sub_count,
-    sub_vector,
 )
 from homcount.graphs import Graph, RootedPattern, normalize_edges
 
@@ -121,10 +118,9 @@ class TestDpMatchesBrute:
                              labels=rng.choice([1, 3]), gid=f"t{trial}")
             for p in patterns:
                 vec = hom_count_dp(p, g)
-                assert vec.counts == tuple(
+                assert vec == tuple(
                     hom_count_brute(p, g, v) for v in range(g.n)
                 ), f"mismatch for {p.id} on trial {trial}"
-                assert vec.total == sum(vec.counts)
 
     def test_dp_against_exhaustive_oracle(self):
         rng = random.Random(9)
@@ -133,11 +129,11 @@ class TestDpMatchesBrute:
             p = cycle(4, root=0)
             vec = hom_count_dp(p, g)
             for v in range(g.n):
-                assert vec.counts[v] == oracle_hom(p.graph, g, fix=(p.root, v))
+                assert vec[v] == oracle_hom(p.graph, g, fix=(p.root, v))
 
     def test_unrooted_dp(self):
-        assert hom_count_dp(clique(3), G1).total == 12
-        assert hom_count_dp(cycle(4), H1).total == hom_count_brute(cycle(4), H1)
+        assert hom_count_dp(clique(3), G1) == 12
+        assert hom_count_dp(cycle(4), H1) == hom_count_brute(cycle(4), H1)
 
     def test_component_additivity(self):
         rng = random.Random(13)
@@ -151,8 +147,8 @@ class TestDpMatchesBrute:
             )
             c4 = cycle(4)
             assert (
-                hom_count_dp(c4, union).total
-                == hom_count_dp(c4, a).total + hom_count_dp(c4, b).total
+                hom_count_dp(c4, union)
+                == hom_count_dp(c4, a) + hom_count_dp(c4, b)
             )
 
     def test_isomorphism_invariance(self):
@@ -162,11 +158,11 @@ class TestDpMatchesBrute:
         rng.shuffle(perm)
         h = g.relabeled(perm, "h")
         p = cycle(5, root=0)
-        cg = hom_count_dp(p, g).counts
-        ch = hom_count_dp(p, h).counts
+        cg = hom_count_dp(p, g)
+        ch = hom_count_dp(p, h)
         for v in range(8):
             assert cg[v] == ch[perm[v]]
-        assert hom_count_dp(cycle(5), g).total == hom_count_dp(cycle(5), h).total
+        assert hom_count_dp(cycle(5), g) == hom_count_dp(cycle(5), h)
 
     def test_vertex_transitive_components_share_counts(self):
         # rooted 6-cycle counts are constant on each disjoint-cycle component
@@ -176,11 +172,11 @@ class TestDpMatchesBrute:
         c6 = cycle(6, root=0)
         for g, comp_len in ((pair.g, 5), (pair.h, 6)):
             vec = hom_count_dp(c6, g)
-            assert vec.counts == tuple(
+            assert vec == tuple(
                 hom_count_brute(c6, g, v) for v in range(g.n)
             )
             for base in range(0, g.n, comp_len):
-                comp = vec.counts[base:base + comp_len]
+                comp = vec[base:base + comp_len]
                 assert len(set(comp)) == 1
 
     def test_molecule_style_fixtures_match_brute(self):
@@ -199,7 +195,7 @@ class TestDpMatchesBrute:
             mol = build(n, sorted(edges), labels=labels, gid=f"mol{trial}")
             for pat in cycles:
                 vec = hom_count_dp(pat, mol)
-                assert vec.counts == tuple(
+                assert vec == tuple(
                     hom_count_brute(pat, mol, v) for v in range(n)
                 )
 
@@ -224,7 +220,7 @@ class TestDpMatchesBrute:
                              labels=rng.choice([1, 2]))
             for pat in (star3, spider, double_star):
                 vec = hom_count_dp(pat, g)
-                assert vec.counts == tuple(
+                assert vec == tuple(
                     hom_count_brute(pat, g, v) for v in range(g.n)
                 )
 
@@ -234,7 +230,7 @@ class TestDpMatchesBrute:
         g = clique(5)
         for root in range(4):
             vec = hom_count_dp(clique(4, root=root), g)
-            assert vec.counts == (4 * 3 * 2,) * 5
+            assert vec == (4 * 3 * 2,) * 5
 
     def test_labeled_patterns_match_oracle(self):
         rng = random.Random(53)
@@ -247,7 +243,7 @@ class TestDpMatchesBrute:
             for pat in (tri, wedge):
                 vec = hom_count_dp(pat, g)
                 for v in range(g.n):
-                    assert vec.counts[v] == oracle_hom(pat.graph, g, fix=(pat.root, v))
+                    assert vec[v] == oracle_hom(pat.graph, g, fix=(pat.root, v))
 
     def test_join_multiplicativity_at_every_anchor(self):
         rng = random.Random(23)
@@ -256,9 +252,9 @@ class TestDpMatchesBrute:
             g = random_graph(rng, rng.randrange(2, 8), 0.5)
             p, q = rng.choice(pats), rng.choice(pats)
             j = join(p, q)
-            pj = hom_count_dp(j, g).counts
-            pp = hom_count_dp(p, g).counts
-            qq = hom_count_dp(q, g).counts
+            pj = hom_count_dp(j, g)
+            pp = hom_count_dp(p, g)
+            qq = hom_count_dp(q, g)
             assert pj == tuple(x * y for x, y in zip(pp, qq))
 
 
@@ -312,7 +308,7 @@ class TestInjectiveAndSubgraph:
         for _ in range(30):
             g = random_graph(rng, rng.randrange(2, 8), 0.5, labels=rng.choice([1, 2]))
             p = rng.choice(pats)
-            got = inj_vector(p, g)
+            got = hom_vector([p], g, "inj")[0]
             for v in range(g.n):
                 assert got[v] == oracle_inj(p.graph, p.root, g, v)
 
@@ -337,8 +333,8 @@ class TestInjectiveAndSubgraph:
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 8), 0.5)
             p = rng.choice(pats)
-            sv = sub_vector(p, g)
-            iv = inj_vector(p, g)
+            sv = hom_vector([p], g, "sub")[0]
+            iv = hom_vector([p], g, "inj")[0]
             aut = automorphism_count(p)
             for v in range(g.n):
                 assert sv[v] == oracle_sub(p, g, v)
@@ -362,7 +358,7 @@ class TestInjectiveAndSubgraph:
         for _ in range(6):
             g = random_graph(rng, rng.randrange(3, 8), 0.5)
             for p in pats:
-                sub_vector(p, g)
+                hom_vector([p], g, "sub")[0]
         assert searches.count(True) == len(pats)
 
 
@@ -393,11 +389,10 @@ class TestCountPlan:
             hom, inj, sub = (hom_vector(pats, g, mode) for mode in ("hom", "inj", "sub"))
             for j, p in enumerate(pats):
                 for v in range(n):
-                    assert hom[j].counts[v] == hom_count_brute(p, g, v)
-                    assert inj[j].counts[v] == oracle_inj(p.graph, p.root, g, v)
-                    assert sub[j].counts[v] == oracle_sub(p, g, v)
-                assert not (hom[j].overflow or inj[j].overflow or sub[j].overflow)
-                assert (hom[j].pattern_id, sub[j].pattern_id) == (p.id, p.id)
+                    assert hom[j][v] == hom_count_brute(p, g, v)
+                    assert inj[j][v] == oracle_inj(p.graph, p.root, g, v)
+                    assert sub[j][v] == oracle_sub(p, g, v)
+                assert len(hom[j]) == len(inj[j]) == len(sub[j]) == n
 
     @pytest.mark.parametrize("mode,per_graph", [("sub", 24), ("hom", 5)])
     def test_one_dp_per_basis_pattern(self, monkeypatch, mode, per_graph):
@@ -417,25 +412,30 @@ class TestCountPlan:
         assert len(calls) == per_graph * len(graphs)
         assert all(calls.count(g.id) == per_graph for g in graphs)
 
-    def test_basis_overflow_flags_its_users_only(self, monkeypatch):
+    def test_basis_overflow_flags_its_graph_only(self, monkeypatch):
+        # any overflowing basis count fails the graph's whole hom_vector; the
+        # feature export flags that graph's rows NA and keeps the other's
+        from homcount.pipeline import compute_features
+
         pats = bench_patterns()
         plan = counting.count_plan(tuple(pats), "sub")
-        g = random_graph(random.Random(61), 7, 0.5, labels=2)
-        clean = hom_vector(pats, g, "sub")
+        rng = random.Random(61)
+        g, other = (random_graph(rng, 7, 0.5, labels=2, gid=gid) for gid in ("bad", "ok"))
+        clean = compute_features([other], pats, mode="sub").rows
         real = counting.hom_count_dp
-        for b, bad in enumerate(plan.basis):
+        for bad in plan.basis:
             def explode(pattern, graph):
-                if pattern == bad:
+                if pattern == bad and graph.id == "bad":
                     raise CountOverflowError("synthetic")
                 return real(pattern, graph)
 
             monkeypatch.setattr(counting, "hom_count_dp", explode)
-            vecs = hom_vector(pats, g, "sub")
-            for vec, row, want in zip(vecs, plan.terms, clean):
-                if any(i == b for i, _ in row):
-                    assert vec.overflow and vec.counts is None
-                else:
-                    assert vec == want
+            with pytest.raises(CountOverflowError):
+                hom_vector(pats, g, "sub")
+            table = compute_features([g, other], pats, mode="sub")
+            assert table.overflowed_graphs == ["bad"]
+            assert table.rows[:g.n] == [("bad", v, g.labels[v], None) for v in range(g.n)]
+            assert table.rows[g.n:] == clean
 
     def test_combined_count_checked_before_division(self, monkeypatch):
         # each basis count fits, but C4's injective sum (its hom count, minus
@@ -443,14 +443,14 @@ class TestCountPlan:
         # MAX_COUNT + 1, which divided by its 2 automorphisms would fit
         def huge(pattern, g):
             c = {4: MAX_COUNT, 2: 1}.get(pattern.graph.n, 0)
-            return CountVector(g.id, pattern.id, (c,) * g.n, c)
+            return (c,) * g.n
 
         monkeypatch.setattr(counting, "hom_count_dp", huge)
         c4 = cycle(4, root=0)
-        (vec,) = hom_vector([c4], G1, "sub")
-        assert vec.overflow
         with pytest.raises(CountOverflowError):
-            sub_vector(c4, G1)
+            hom_vector([c4], G1, "sub")
+        with pytest.raises(CountOverflowError):
+            sub_count(c4, G1, 0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -460,7 +460,7 @@ class TestCountPlan:
 class TestVectorAndMatrix:
     def test_fig1_triangle_column(self):
         vecs = hom_vector([clique(3, root=0)], G1)
-        assert vecs[0].counts == (2,) * 6
+        assert vecs[0] == (2,) * 6
 
     def test_empty_pattern_set(self):
         from homcount.pipeline import compute_features
@@ -474,7 +474,7 @@ class TestVectorAndMatrix:
 
     def test_mode_sub(self):
         vecs = hom_vector([clique(3, root=0)], G1, mode="sub")
-        assert vecs[0].counts == (1,) * 6
+        assert vecs[0] == (1,) * 6
 
     def test_overflow_boundary(self):
         from homcount.counting import _check
@@ -494,15 +494,23 @@ class TestVectorAndMatrix:
         with pytest.raises(CountOverflowError):
             hom_count_dp(lpath(1), complete(4))
 
-    def test_overflow_flagged_not_raised(self, monkeypatch):
-        import homcount.counting as counting
+    def test_overflow_raised_to_the_caller(self, monkeypatch):
+        from homcount.pipeline import compute_features
 
         def explode(pattern, g):
             raise CountOverflowError("synthetic")
 
         monkeypatch.setattr(counting, "hom_count_dp", explode)
-        vecs = counting.hom_vector([clique(3, root=0)], G1)
-        assert vecs[0].overflow and vecs[0].counts is None
+        k3 = clique(3, root=0)
+        for mode in ("hom", "inj", "sub"):
+            with pytest.raises(CountOverflowError):
+                hom_vector([k3], G1, mode)
+        for count in (inj_count, sub_count):
+            with pytest.raises(CountOverflowError):
+                count(k3, G1, 0)
+        table = compute_features([G1], [k3])
+        assert table.overflowed_graphs == ["g1"]
+        assert all(row[3] is None for row in table.rows) and len(table.rows) == 6
 
     def test_determinism(self):
         rng = random.Random(2)
@@ -529,13 +537,13 @@ class TestCountingProperties:
     def test_dp_equals_brute_everywhere(self, g):
         for p in (clique(3, root=0), cycle(4, root=0), lpath(2)):
             vec = hom_count_dp(p, g)
-            assert vec.counts == tuple(hom_count_brute(p, g, v) for v in range(g.n))
+            assert vec == tuple(hom_count_brute(p, g, v) for v in range(g.n))
 
     @given(graphs_strategy(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_unrooted_equals_anchor_sum(self, g):
         p = cycle(4, root=0)
-        total = hom_count_dp(cycle(4), g).total
+        total = hom_count_dp(cycle(4), g)
         assert total == sum(hom_count_brute(p, g, v) for v in range(g.n))
 
 
@@ -601,8 +609,8 @@ class TestArrayKernel:
     def test_counts_are_python_ints(self):
         counts = arrays(cycle(4, root=0), G1)
         assert counts and all(type(c) is int for c in counts)
-        assert type(hom_count_dp(cycle(4, root=0), G1).total) is int
-        assert type(hom_count_dp(clique(3), G1).total) is int
+        assert all(type(c) is int for c in hom_count_dp(cycle(4, root=0), G1))
+        assert type(hom_count_dp(clique(3), G1)) is int
 
 
 def complete(n, gid="kn"):
@@ -635,10 +643,10 @@ class TestDispatch:
                     forbid(m, counting, "_run_dp_dict")
                 else:
                     forbid(m, dp_arrays, "run_dp")
-                assert hom_count_dp(pg, kn).total == 100 * 99 ** (k - 1)
+                assert hom_count_dp(pg, kn) == 100 * 99 ** (k - 1)
                 vec = hom_count_dp(RootedPattern(pg, 0), kn)
-                assert vec.counts == (99 ** (k - 1),) * 100
-                assert vec.total == 100 * 99 ** (k - 1)
+                assert vec == (99 ** (k - 1),) * 100
+                assert sum(vec) == 100 * 99 ** (k - 1)
         assert 100 * 99**9 > 1 << 63
 
     def test_dense_arrays_bound_the_graph_size(self):
@@ -699,9 +707,9 @@ class TestDispatch:
                    for _ in range(15)]
         for g in graphs:
             for pg in patterns:
-                assert hom_count_dp(pg, g).total == hom_count_brute(pg, g), (pg.id, g.n)
+                assert hom_count_dp(pg, g) == hom_count_brute(pg, g), (pg.id, g.n)
         kn = complete(100)
-        assert hom_count_dp(patterns[0], kn).total == (2 * len(kn.edges)) ** 2
+        assert hom_count_dp(patterns[0], kn) == (2 * len(kn.edges)) ** 2
 
     def test_molecule_and_family_inputs_take_dict_path(self):
         from homcount.algebra import spasm

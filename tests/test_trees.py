@@ -4,7 +4,7 @@ import random
 import pytest
 
 from homcount import counting, refinement, trees as tree_module
-from homcount.counting import CountOverflowError, hom_count_brute, rooted_counts
+from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
 from homcount.trees import (
     EnumerationBudget,
@@ -13,7 +13,6 @@ from homcount.trees import (
     flatten,
     hom_pattern_tree,
     tree_equivalence_report,
-    unrooted_tree_count,
 )
 
 G2 = Graph("g2", 9, (0,) * 9,
@@ -74,8 +73,8 @@ class TestRecursion:
         tree = PatternTree((-1, 0), (0, 0), ((0,), (1,)), (K3,))
         on_g = hom_pattern_tree(tree, G2)
         on_h = hom_pattern_tree(tree, H2)
-        assert on_g.counts[4] == 0
-        assert on_h.counts[4] == 4
+        assert on_g[4] == 0
+        assert on_h[4] == 4
 
     def test_bare_path_counts_walks(self):
         rng = random.Random(6)
@@ -89,7 +88,7 @@ class TestRecursion:
             walks = [[1] * 6]
             for _ in range(length):
                 walks.append([sum(walks[-1][u] for u in g.adjacency[v]) for v in range(6)])
-            assert list(got.counts) == walks[-1]
+            assert list(got) == walks[-1]
 
     def test_matches_brute_flatten_on_random_trees(self):
         rng = random.Random(77)
@@ -111,11 +110,11 @@ class TestRecursion:
             flat = flatten(tree)
             got = hom_pattern_tree(tree, g)
             want = tuple(hom_count_brute(flat, g, v) for v in range(6))
-            assert got.counts == want
+            assert got == want
 
     def test_attachments_must_cover_every_pattern(self):
         tree = PatternTree((-1, 0), (0, 0), ((1, 0), (0, 1)), (K3, cycle(4)))
-        attachments = rooted_counts(tree.patterns, G2)
+        attachments = hom_vector(tree.patterns, G2)
         assert hom_pattern_tree(tree, G2, attachments) == hom_pattern_tree(tree, G2)
         with pytest.raises(ValueError):
             hom_pattern_tree(tree, G2, attachments[:1])
@@ -123,7 +122,7 @@ class TestRecursion:
     def test_label_mismatch_zeroes_out(self):
         tree = bare_tree([-1], labels=[1])
         g = build(3, [(0, 1)], labels=[0, 1, 0])
-        assert hom_pattern_tree(tree, g).counts == (0, 1, 0)
+        assert hom_pattern_tree(tree, g) == (0, 1, 0)
 
     @pytest.mark.parametrize("parent, labels, attachments", [
         ((), (), ()),
@@ -136,6 +135,17 @@ class TestRecursion:
     def test_malformed_tree_rejected(self, parent, labels, attachments):
         with pytest.raises(ValueError):
             PatternTree(parent, labels, attachments, (K3,))
+
+    def test_tree_totals_checked(self, monkeypatch):
+        # a one-edge bare tree on K4 counts 3 at each anchor and 12 in all: the
+        # anchors fit under a ceiling of 11, the total does not, as for rooted K2
+        monkeypatch.setattr(counting, "MAX_COUNT", 11)
+        tree = bare_tree([-1, 0])
+        k4 = build(4, list(itertools.combinations(range(4), 2)), gid="k4")
+        with pytest.raises(CountOverflowError):
+            hom_pattern_tree(tree, k4)
+        with pytest.raises(CountOverflowError):
+            tree_equivalence_report(k4, k4.relabeled([1, 0, 2, 3], "k4b"), [], trees=[tree])
 
     def test_overflow_raises(self):
         # long bare backbone on a dense graph: walk counts blow past 2**127-1
@@ -257,8 +267,8 @@ class TestHarness:
 
     def test_unrooted_count_is_anchor_sum(self):
         tree = PatternTree((-1, 0), (0, 0), ((0,), (1,)), (K3,))
-        total = unrooted_tree_count(tree, G2)
-        assert total == sum(hom_pattern_tree(tree, G2).counts)
+        total = hom_count_brute(flatten(tree).graph, G2)
+        assert total == sum(hom_pattern_tree(tree, G2))
 
     def test_cycle_hierarchy_depth_zero_witness(self):
         # the first separating tree is the bare 4-cycle attachment
