@@ -8,24 +8,30 @@ instead of wrapping or saturating; callers that must keep going catch it.
 
 The decomposition DP has one output: the counts of a connected rooted pattern
 P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
-them. Its tables take one of two representations, chosen per call before it
-runs. Dicts of Python ints, each value checked against the ceiling, serve
-every call by default. int64 numpy key/count arrays
-(:mod:`homcount.dp_arrays`) serve a call only when all of these hold for P on
-k vertices and G on n vertices with maximum degree Δ and average degree d:
-n * Δ**(k-1) < 2**63, which bounds every table value (proof at
-:func:`_use_arrays`); n**2 and n**(b-1), for the largest bag size b, are at
-most ``DENSE_LIMIT``, which bounds the kernel's dense arrays; and the entries
-the plan's tables are expected to hold on a random graph with G's n and d
-(:func:`_estimated_entries`) number at least ``ARRAY_MIN_ENTRIES``. That
-module, and numpy with it, is imported only when the arrays are used. Both
-return Python ints.
+them. Such counts are local: a vertex's count in G1 ⊔ … ⊔ Gm is its count in
+its own graph (Lovász, *Large networks and graph limits*, 2012), so
+:func:`hom_vectors` runs each basis pattern of a count plan once per batch of
+graphs (:func:`_batches`, consecutive in input order) and splits the result
+per graph. Tables take one of two representations, chosen per batch before
+the DPs run. Dicts of Python ints, each value checked against the ceiling,
+serve every DP by default, one graph at a time. int64 numpy key/count arrays
+(:mod:`homcount.dp_arrays`) serve a basis pattern P on k vertices over a
+batch of m graphs with largest vertex count R and largest degree Δ when
+R * Δ**(k-1) < 2**63, which bounds every table value (proof at
+:func:`_use_arrays`); when m * R**2 and m * R**(b-1), for P's largest bag
+size b, are at most ``DENSE_LIMIT``, which bounds the kernel's dense arrays;
+and when the entries the batch's fitting DPs are expected to hold on random
+graphs with its graphs' n and average degree (:func:`_estimated_entries`)
+number at least ``ARRAY_MIN_ENTRIES`` in all. A single call is the batch of
+one pattern on one graph. That module, and numpy with it, is imported only
+when the arrays are used. Both return Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from homcount.algebra import (
@@ -133,7 +139,8 @@ def _dp_plan(p: RootedPattern) -> _DpPlan:
 
 
 # Both kernels key a table entry by its bag's images in mixed radix n: the
-# vertex at bag position j contributes image * n**j.
+# vertex at bag position j contributes image * n**j. The array kernel runs a
+# batch of m graphs as blocks, keyed block + m * (that sum in radix R).
 
 INT64_LIMIT = 1 << 63
 DENSE_LIMIT = 1 << 20  # entries of an array kernel's adjacency table or forget sum
@@ -163,26 +170,32 @@ def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
     return sum(sizes)
 
 
-def _use_arrays(p: RootedPattern, plan: _DpPlan, g: Graph) -> bool:
-    """Whether the int64 array kernel is exact and worth it for this call.
+def _use_arrays(patterns: Sequence[RootedPattern], graphs: Sequence[Graph]) -> list[bool]:
+    """For each pattern, whether it runs on the int64 array kernel over the
+    batch ``graphs`` at once (one pattern and one graph for a single call):
+    those for which the kernel is exact and its dense arrays fit, if the
+    DPs of all of those on all the graphs are worth the kernel.
 
-    Bound: let P be connected with k vertices and Δ the maximum degree of G.
-    A table entry counts the maps of the vertices forgotten below its node
-    that extend the bag's images. Every edge at a forgotten vertex lies in a
-    bag below the node, so each component of the forgotten vertices has a
-    neighbour in the bag, or else is all of P. With a nonempty bag, visiting
-    the forgotten vertices in breadth-first order from the bag gives each at
-    most Δ images: the entry is at most Δ**(k-1). An empty bag holds one
-    entry: 1 at a leaf, otherwise the maps of all of P, with at most n
-    images for a first vertex and Δ for each further one, n * Δ**(k-1).
-    Forget sums and join products are themselves table entries, and the
-    partial sums of a forget are no larger, so n * Δ**(k-1) < 2**63 keeps
-    every value in int64.
+    Bound: let P be connected with k vertices, R the batch's largest vertex
+    count and Δ its largest degree. A table entry counts the maps of the
+    vertices forgotten below its node that extend the bag's images, and the
+    kernel never builds an entry whose images span two graphs, so it counts
+    maps into one graph G of n <= R vertices. Every edge at a forgotten
+    vertex lies in a bag below the node, so each component of the forgotten
+    vertices has a neighbour in the bag, or else is all of P. With a
+    nonempty bag, visiting the forgotten vertices in breadth-first order from
+    the bag gives each at most Δ images: the entry is at most Δ**(k-1). An
+    empty bag holds one entry per graph: 1 at a leaf, otherwise the maps of
+    all of P, with at most n images for a first vertex and Δ for each
+    further one, n * Δ**(k-1). Forget sums and join products are themselves
+    table entries, and the partial sums of a forget are no larger, so
+    R * Δ**(k-1) < 2**63 keeps every value in int64.
 
-    Size: the kernel keeps a dense n * n adjacency table and sums each forget
-    into a dense array of n**(bag size) entries, so both n**2 and n**(b-1),
-    for the largest bag size b, stay within ``DENSE_LIMIT``; keys then stay
-    below n**b <= 2**30.
+    Size: the kernel keeps a dense adjacency table of m * R * R entries for a
+    batch of m graphs and sums each forget into a dense array of
+    m * R**(bag size) entries, so both m * R**2 and m * R**(b-1), for the
+    largest bag size b, stay within ``DENSE_LIMIT``; keys then stay below
+    m * R**b <= 2**30.
 
     Worth it: on random graphs of 100 to 1000 vertices and average degree 2
     to 10, with rooted C3 to C7, unrooted C4 and C6 and rooted P4 and P6,
@@ -190,28 +203,53 @@ def _use_arrays(p: RootedPattern, plan: _DpPlan, g: Graph) -> bool:
     entry on calls of 2 * 10**4 estimated entries or more. Every call
     estimated at ``ARRAY_MIN_ENTRIES`` or more saved at least 0.09 s, about
     the 0.11 to 0.15 s that importing numpy costs, so one call alone
-    recovers the import.
+    recovers the import. A batch's estimate sums those of its patterns on
+    its graphs; a small run within it costs the kernel a few milliseconds at
+    most (rooted C3 on the 1000-vertex graph above: 13.6 ms against 11.1).
     """
-    n, k, big = g.n, p.graph.n, plan.largest_bag
-    if n == 0 or n ** max(2, big - 1) > DENSE_LIMIT:
-        return False
-    d = 2 * len(g.edges) / n
+    m = len(graphs)
+    size = max((g.n for g in graphs), default=0)
+    plans = [_dp_plan(p) for p in patterns]
+    fits = [
+        size > 0
+        and m * size ** max(2, plan.largest_bag - 1) <= DENSE_LIMIT
+        and _within_int64(size, p.graph.n, graphs)
+        for p, plan in zip(patterns, plans)
+    ]
+    fitting = [plan for plan, ok in zip(plans, fits) if ok]
+    shapes = [(g.n, 2 * len(g.edges) / g.n) for g in graphs if g.n]
     # in the estimate an introduce multiplies by n or by at most max(d, 1), and
-    # forgets and joins never raise it, so this cheap bound settles small graphs
-    bound = len(plan.steps) * n**plan.free_introduces * max(d, 1.0) ** plan.linked_introduces
-    if bound < ARRAY_MIN_ENTRIES or _estimated_entries(plan, n, d) < ARRAY_MIN_ENTRIES:
-        return False
-    delta = max(map(len, g.adjacency))
-    return n * delta ** (k - 1) < INT64_LIMIT
+    # forgets and joins never raise it, so this cheap bound settles small batches
+    bound = sum(
+        len(plan.steps) * n**plan.free_introduces * max(d, 1.0) ** plan.linked_introduces
+        for plan in fitting for n, d in shapes
+    )
+    if bound >= ARRAY_MIN_ENTRIES:
+        total = 0.0
+        for plan in fitting:
+            for n, d in shapes:
+                total += _estimated_entries(plan, n, d)
+            if total >= ARRAY_MIN_ENTRIES:
+                return fits
+    return [False] * len(patterns)
+
+
+def _within_int64(size: int, k: int, graphs: Sequence[Graph]) -> bool:
+    """Whether size * Δ**(k-1) < 2**63 for the graphs' largest degree Δ;
+    Δ < size settles it without a look at the graphs on most inputs."""
+    if size * (size - 1) ** (k - 1) < INT64_LIMIT:
+        return True
+    delta = max((len(nbrs) for g in graphs for nbrs in g.adjacency), default=0)
+    return size * delta ** (k - 1) < INT64_LIMIT
 
 
 def _run_dp(p: RootedPattern, g: Graph) -> tuple[int, ...]:
     """Execute the DP; returns p's hom count at every anchor of g."""
     plan = _dp_plan(p)
-    if _use_arrays(p, plan, g):
+    if _use_arrays([p], [g])[0]:
         from homcount import dp_arrays  # loads numpy
 
-        return dp_arrays.run_dp(plan, g)
+        return dp_arrays.run_dp(plan, dp_arrays.Blocks([g]))[0]
     return _run_dp_dict(plan, g)
 
 
@@ -332,28 +370,95 @@ def _combine(terms, divisor: int) -> tuple[int, ...]:
     (first, weight), *rest = terms
     if not rest and weight == 1 and divisor == 1:
         return first
-    counts = []
-    for v in range(len(first)):
-        c = _check(sum(w * vec[v] for vec, w in terms))
-        q, r = divmod(c, divisor)
-        if r or c < 0:
-            raise AssertionError(f"inj count {c} negative or not divisible by {divisor}")
-        counts.append(q)
-    return tuple(counts)
+    weights = [w for _, w in terms]
+    counts = [sum(map(mul, weights, column)) for column in zip(*(vec for vec, _ in terms))]
+    _check(max(counts, default=0))
+    if min(counts, default=0) < 0 or divisor > 1 and any(c % divisor for c in counts):
+        raise AssertionError(f"inj counts negative or not divisible by {divisor}")
+    return tuple(c // divisor for c in counts) if divisor > 1 else tuple(counts)
+
+
+def _batches(plan: CountPlan, graphs: Sequence[Graph]):
+    """Split ``graphs``, in order, into the batches whose basis DPs run
+    together: each grows while its dense arrays stay within ``DENSE_LIMIT``
+    for every basis pattern and its counts within the int64 bound for the
+    largest, so a graph that fails either alone is a batch of its own. The
+    widest basis pattern sets the batch size for all: with K5 among them,
+    bags of 5 put each graph of 27 or more vertices in a batch of its own."""
+    plans = [_dp_plan(q) for q in plan.basis]
+    widest = max((max(2, dp.largest_bag - 1) for dp in plans), default=2)
+    k = max((q.graph.n for q in plan.basis), default=1)
+    batch: list[Graph] = []
+    size = delta = 0
+    for g in graphs:
+        n, degree = g.n, max(map(len, g.adjacency), default=0)
+        grown, steeper = max(size, n), max(delta, degree)
+        if batch and ((len(batch) + 1) * grown**widest > DENSE_LIMIT
+                      or grown * steeper ** (k - 1) >= INT64_LIMIT):
+            yield batch
+            batch, grown, steeper = [], n, degree
+        batch.append(g)
+        size, delta = grown, steeper
+    if batch:
+        yield batch
+
+
+def _hom_count_or_error(q: RootedPattern, g: Graph):
+    try:
+        return hom_count_dp(q, g)
+    except CountOverflowError as exc:
+        return exc
+
+
+def hom_vectors(
+    patterns: Sequence[RootedPattern], graphs: Sequence[Graph], mode: str = "hom"
+) -> list[Union[list[tuple[int, ...]], CountOverflowError]]:
+    """For each graph, in order, each pattern's per-anchor counts in pattern
+    order, in ``mode`` hom, inj or sub, or the CountOverflowError raised when
+    a count it forms exceeds the ceiling. Each basis pattern of the patterns'
+    :func:`count_plan` runs once per batch of :func:`_batches`: as one array
+    DP over the batch when :func:`_use_arrays` accepts it, else as
+    :func:`hom_count_dp` per graph."""
+    plan = count_plan(tuple(patterns), mode)
+    out: list = []
+    for batch in _batches(plan, graphs):
+        arrays = _use_arrays(plan.basis, batch)
+        if any(arrays):
+            from homcount import dp_arrays  # loads numpy
+
+            blocks = dp_arrays.Blocks(batch)
+        # an array run's anchor sums are table entries the int64 bound covers
+        basis = [
+            dp_arrays.run_dp(_dp_plan(q), blocks) if on_arrays
+            else [_hom_count_or_error(q, g) for g in batch]
+            for q, on_arrays in zip(plan.basis, arrays)
+        ]
+        for j in range(len(batch)):
+            counts = [vecs[j] for vecs in basis]
+            failed = next((c for c in counts if isinstance(c, CountOverflowError)), None)
+            if failed is not None:
+                out.append(failed)
+                continue
+            try:
+                out.append([
+                    _combine([(counts[i], w) for i, w in row], divisor)
+                    for row, divisor in zip(plan.terms, plan.divisors)
+                ])
+            except CountOverflowError as exc:
+                out.append(exc)
+    return out
 
 
 def hom_vector(
     patterns: Sequence[RootedPattern], g: Graph, mode: str = "hom"
 ) -> list[tuple[int, ...]]:
     """Each pattern's per-anchor counts on g, in pattern order, in ``mode``
-    hom, inj or sub: one DP per basis pattern of their :func:`count_plan`.
-    Raises CountOverflowError if any count it forms exceeds the ceiling."""
-    plan = count_plan(tuple(patterns), mode)
-    basis = [hom_count_dp(q, g) for q in plan.basis]
-    return [
-        _combine([(basis[i], w) for i, w in row], divisor)
-        for row, divisor in zip(plan.terms, plan.divisors)
-    ]
+    hom, inj or sub: :func:`hom_vectors` on the one graph. Raises
+    CountOverflowError if any count it forms exceeds the ceiling."""
+    (vecs,) = hom_vectors(patterns, [g], mode)
+    if isinstance(vecs, CountOverflowError):
+        raise vecs
+    return vecs
 
 
 def inj_count(p: RootedPattern, g: Graph, anchor: int) -> int:

@@ -3,7 +3,8 @@
 Feature output is CSV with one row per (graph, vertex): id columns, the vertex
 label, then one column per pattern in file order. The log-z normalization
 stores per-column statistics in a ``#`` header block, from which raw counts up
-to 10**13 can be reconstructed exactly from the file alone.
+to 10**13 can be reconstructed exactly from the file alone; a column holding a
+larger count is flagged ``exact=false`` there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
-from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
+from homcount.counting import CountOverflowError, hom_count_brute, hom_vectors
 from homcount.graphs import (
     Graph,
     LabelAlphabet,
@@ -68,14 +69,19 @@ def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
     return out
 
 
+EXACT_LIMIT = 10**13  # counts up to this survive the log-z round trip exactly
+
+
 @dataclass(frozen=True)
 class ColumnTransform:
-    """Offset-log then z-score; constant columns emit zeros and are flagged."""
+    """Offset-log then z-score; constant columns emit zeros and are flagged,
+    and so are columns whose counts may not reconstruct exactly."""
 
     column: str
     mean: float
     std: float
     constant: bool
+    exact: bool  # every count in the column is at most EXACT_LIMIT
 
 
 @dataclass
@@ -93,29 +99,36 @@ class FeatureTable:
 
 
 def _count_rows(args):
-    g, patterns, mode = args
-    try:
-        vecs = hom_vector(patterns, g, mode)
-    except CountOverflowError:  # the graph's rows are flagged NA, the run goes on
-        return [(g.id, v, g.labels[v], None) for v in range(g.n)], True
-    return [(g.id, v, g.labels[v], tuple(vec[v] for vec in vecs)) for v in range(g.n)], False
+    """Rows of a run of graphs, and the ids of those that overflowed."""
+    graphs, patterns, mode = args
+    rows: list[tuple] = []
+    overflowed = []
+    for g, vecs in zip(graphs, hom_vectors(patterns, graphs, mode)):
+        if isinstance(vecs, CountOverflowError):  # its rows are flagged NA, the run goes on
+            rows.extend((g.id, v, g.labels[v], None) for v in range(g.n))
+            overflowed.append(g.id)
+        else:
+            rows.extend((g.id, v, g.labels[v], tuple(vec[v] for vec in vecs)) for v in range(g.n))
+    return rows, overflowed
 
 
 def _all_count_rows(graphs, patterns, mode, threads):
-    jobs = [(g, patterns, mode) for g in graphs]
+    """Every graph's rows, in order; with several threads, each worker counts
+    one contiguous run of about len(graphs) / threads graphs, which
+    :func:`homcount.counting.hom_vectors` splits into its batches."""
     if threads == 0:
         threads = os.cpu_count() or 1
-    if threads == 1 or len(jobs) <= 1:
-        results = [_count_rows(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_count_rows, jobs, chunksize=8))
+    if threads == 1 or len(graphs) <= 1:
+        return _count_rows((graphs, patterns, mode))
+    step = -(-len(graphs) // threads)
+    jobs = [(graphs[i:i + step], patterns, mode) for i in range(0, len(graphs), step)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(_count_rows, jobs))
     rows: list[tuple] = []
     overflowed = []
-    for (chunk, overflow), g in zip(results, graphs):
+    for chunk, ids in results:
         rows.extend(chunk)
-        if overflow:
-            overflowed.append(g.id)
+        overflowed.extend(ids)
     return rows, overflowed
 
 
@@ -174,9 +187,11 @@ def compute_features(
         else:
             stat_rows, _ = _all_count_rows(list(stats_graphs), list(patterns), mode, threads)
         stats = _column_stats(stat_rows, len(patterns))
+        columns = zip(*(counts for _, _, _, counts in rows if counts is not None))
+        largest = [max(column) for column in columns] or [0] * len(patterns)
         table.transforms = [
-            ColumnTransform(name, mean, std, const)
-            for name, (mean, std, const) in zip(table.column_names, stats)
+            ColumnTransform(name, mean, std, const, top <= EXACT_LIMIT)
+            for name, (mean, std, const), top in zip(table.column_names, stats, largest)
         ]
     return table
 
@@ -187,7 +202,8 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
     Normalized cells hold z(log(1+c)); the header carries exact float reprs of
     each column's mean/std so counts are reconstructible:
     c = round(exp(z * std + mean) - 1). That is exact for counts up to 10**13;
-    see :func:`reconstruct_count` for larger ones.
+    a column with a larger count says ``exact=false`` at the end of its
+    ``# column`` line, and :func:`reconstruct_count` may miss its counts.
     """
     out.write(f"# mode: {table.mode}\n")
     out.write(f"# normalize: {table.normalize}\n")
@@ -196,7 +212,8 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
         for t in table.transforms:
             out.write(
                 f"# column {t.column}: mean={t.mean!r} std={t.std!r} "
-                f"constant={'true' if t.constant else 'false'}\n"
+                f"constant={'true' if t.constant else 'false'}"
+                f"{'' if t.exact else ' exact=false'}\n"
             )
     header = ["graph_id", "vertex_id", "label"] + table.column_names
     out.write(",".join(header) + "\n")
@@ -231,7 +248,8 @@ def read_transforms(path_or_lines) -> dict[str, ColumnTransform]:
         name, rest = body.split(":", 1)
         fields = dict(part.split("=", 1) for part in rest.split())
         out[name] = ColumnTransform(
-            name, float(fields["mean"]), float(fields["std"]), fields["constant"] == "true"
+            name, float(fields["mean"]), float(fields["std"]), fields["constant"] == "true",
+            fields.get("exact", "true") == "true",
         )
     return out
 
@@ -241,7 +259,9 @@ def reconstruct_count(z: float, t: ColumnTransform) -> int:
 
     Exact for counts up to 10**13. Above that the float64 round trip may land
     on a neighbouring integer: around 10**14 it does for some counts in
-    columns with large z-scores, and from 10**15 on for most counts.
+    columns with large z-scores, and from 10**15 on for most counts. The
+    header marks a column holding such a count ``exact=false``
+    (``t.exact`` is False).
     """
     if t.constant:
         raise ValueError("constant columns carry no information")

@@ -197,6 +197,70 @@ class TestFeatures:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestBatchedFeatures:
+    """A dataset large enough that ``features`` runs batched array DPs gives
+    the same bytes at every thread count, and a graph whose counts overflow
+    among the batched ones gets NA rows and the error line alone."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        import random
+
+        from test_counting import molecule_graphs
+
+        graphs = molecule_graphs(random.Random(127), 160, sizes=(15, 40))
+        # rooted K_{1,13} counts 900**13 > 2**127 - 1 at the centre of this
+        # star, whose label 0 keeps the label-1 cycles off it
+        star = {"id": "star", "n": 901, "edges": [[0, v] for v in range(1, 901)]}
+        lines = [json.dumps(g.to_record()) for g in graphs]
+        lines.insert(80, json.dumps(star))
+        return write(tmp_path / "molecules.jsonl", "\n".join(lines) + "\n")
+
+    @staticmethod
+    def patterns(tmp_path, star):
+        records = [{"id": f"C{k}", "n": k, "labels": [1] * k,
+                    "edges": [[i, (i + 1) % k] for i in range(k)], "root": 0} for k in (5, 6)]
+        if star:
+            records.append({"id": "S13", "n": 14, "edges": [[0, v] for v in range(1, 14)],
+                            "root": 0})
+        return write(tmp_path / "patterns.json", json.dumps(records))
+
+    def features(self, capsys, monkeypatch, *argv):
+        """The run at --threads 1, 2 and 0, which must agree; returns it and
+        the batch sizes of the array DPs of the in-process run."""
+        from homcount import dp_arrays
+
+        sizes = []
+        real = dp_arrays.run_dp
+        monkeypatch.setattr(dp_arrays, "run_dp",
+                            lambda plan, blocks: sizes.append(blocks.m) or real(plan, blocks))
+        results = [run(capsys, "features", *argv, "--threads", t) for t in ("1", "2", "0")]
+        assert results[0] == results[1] == results[2]
+        return results[0], sizes
+
+    def test_hom_log_z_with_an_overflowing_graph(self, capsys, monkeypatch, tmp_path, dataset):
+        (code, out, err), sizes = self.features(
+            capsys, monkeypatch, dataset, "--patterns", self.patterns(tmp_path, True),
+            "--mode", "hom", "--normalize", "log-z")
+        assert code == 0
+        assert sorted(set(sizes)) == [80]  # the molecules on either side of the star
+        assert err.startswith("error: overflow: graph star ") and err.count("\n") == 1
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        na = [r for r in rows if "NA" in r]
+        assert len(na) == 901 and all(r[0] == "star" and r[3:] == ["NA"] * 3 for r in na)
+        molecules = [r for r in rows[1:] if r[0] != "star"]
+        assert len(molecules) == sum(
+            json.loads(line)["n"] for line in open(dataset) if '"star"' not in line)
+
+    def test_sub(self, capsys, monkeypatch, tmp_path, dataset):
+        (code, out, err), sizes = self.features(
+            capsys, monkeypatch, dataset, "--patterns", self.patterns(tmp_path, False),
+            "--mode", "sub", "--normalize", "none")
+        assert code == 0 and err == ""
+        assert sizes and max(sizes) == 80
+        assert out.count("\nstar,") == 901
+
+
 class TestThreads:
     @pytest.fixture
     def argvs(self, tmp_path, fixture_files, k3_file):

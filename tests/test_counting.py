@@ -559,7 +559,8 @@ KERNEL_PATTERNS = BRANCHING + (clique(3, root=0), clique(4, root=1), cycle(5, ro
 
 
 def arrays(pat, g):
-    return dp_arrays.run_dp(_dp_plan(pat), g)
+    (counts,) = dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks([g]))
+    return counts
 
 
 def dicts(pat, g):
@@ -567,7 +568,8 @@ def dicts(pat, g):
 
 
 def uses_arrays(pat, g):
-    return _use_arrays(pat, _dp_plan(pat), g)
+    (on_arrays,) = _use_arrays([pat], [g])
+    return on_arrays
 
 
 def reroot(pat, root):
@@ -620,6 +622,21 @@ def complete(n, gid="kn"):
 def path_graph(k):
     """Unrooted path on k vertices."""
     return build(k, [(i, i + 1) for i in range(k - 1)], gid=f"p{k}")
+
+
+def molecule_graphs(rng, count, sizes=(40, 40)):
+    """Molecule-like graphs: rings of n atoms in range ``sizes`` with n / 5
+    chords, three labels."""
+    out = []
+    for i in range(count):
+        n = rng.randint(*sizes)
+        edges = {(j - 1, j) for j in range(1, n)} | {(0, n - 1)}
+        while len(edges) < n + n // 5:
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        out.append(build(n, sorted(edges), labels=[rng.randrange(3) for _ in range(n)],
+                         gid=f"mol{i}"))
+    return out
 
 
 def forbid(monkeypatch, module, kernel):
@@ -716,14 +733,7 @@ class TestDispatch:
         from homcount.families import bowtie_pattern, cfi_pair, cycle_union_pair
 
         rng = random.Random(71)
-        molecules = []
-        for _ in range(20):  # 40-atom rings with chords, the largest molecule size
-            n = 40
-            edges = {(i - 1, i) for i in range(1, n)} | {(0, n - 1)}
-            while len(edges) < 48:
-                a, b = sorted(rng.sample(range(n), 2))
-                edges.add((a, b))
-            molecules.append(build(n, sorted(edges), labels=[rng.randrange(3) for _ in range(n)]))
+        molecules = molecule_graphs(rng, 20)  # the largest molecule size
         pairs = [cycle_union_pair(7), cfi_pair(clique(4, root=0))]
         families = [g for pair in pairs for g in (pair.g, pair.h)]
         patterns = [clique(3, root=0), clique(4, root=0), bowtie_pattern()]
@@ -734,6 +744,8 @@ class TestDispatch:
                 assert not uses_arrays(pat, g), (g.id, pat.id)
 
     def test_features_run_does_not_import_numpy(self, tmp_path):
+        # features on two fixtures, and count, both refinement variants and
+        # witness as the families benchmark runs them, in one process
         import json
         import os
         import subprocess
@@ -741,19 +753,184 @@ class TestDispatch:
 
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps(g.to_record()) + "\n" for g in (G1, H1)))
-        pats = tmp_path / "pats.json"
+        g_file, h_file = tmp_path / "g.jsonl", tmp_path / "h.jsonl"
+        g_file.write_text(json.dumps(G1.to_record()) + "\n")
+        h_file.write_text(json.dumps(H1.to_record()) + "\n")
+        pats, k3 = tmp_path / "pats.json", tmp_path / "k3.json"
         pats.write_text(json.dumps([clique(3, root=0).to_record(), cycle(4, root=0).to_record()]))
+        k3.write_text(json.dumps([clique(3, root=0).to_record()]))
+        d, g, h, p = (str(x) for x in (data, g_file, h_file, pats))
+        argvs = [
+            ["features", d, "--patterns", p, "--output", str(tmp_path / "out.csv")],
+            ["features", d, "--patterns", p, "--mode", "sub", "--normalize", "log-z"],
+            ["count", "--pattern", p, "--graph", g, "--mode", "sub"],
+            ["wl", g, h, "--variant", "fwl", "--patterns", p],
+            ["wl", g, h, "--variant", "kwl", "--k", "2"],
+            ["witness", g, h, "--patterns", str(k3)],
+        ]
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "from homcount.cli import main\n"
-            f"rc = main(['features', {str(data)!r}, '--patterns', {str(pats)!r},"
-            f" '--output', {str(tmp_path / 'out.csv')!r}])\n"
-            "print(rc, 'numpy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(*codes, 'numpy' in sys.modules)\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
-        assert out.stdout.split() == ["0", "False"]
+        assert out.stdout.split() == ["0"] * len(argvs) + ["False"]
         assert (tmp_path / "out.csv").read_text().count("g1,") == 6
+
+
+# --- batches: one array DP per basis pattern over many graphs -------------------
+
+
+def with_labels(pattern, labels, gid):
+    """``pattern`` (rooted) with vertex labels ``labels``."""
+    pg = pattern.graph
+    return RootedPattern(Graph(gid, pg.n, tuple(labels), pg.edges), pattern.root)
+
+
+def per_graph_dicts(pat, graphs):
+    return [_run_dp_dict(_dp_plan(pat), g) for g in graphs]
+
+
+def batched(pat, graphs):
+    return dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks(graphs))
+
+
+def mixed_batch(rng):
+    """Labels 0 to 2 spread unevenly, isolated vertices, n = 0 and n = 1
+    graphs and disconnected graphs, in one batch."""
+    graphs = [
+        build(0, [], gid="empty"),
+        build(1, [], labels=[2], gid="dot"),
+        build(5, [], labels=[0, 1, 0, 1, 0], gid="isolated"),
+        build(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)], labels=[0] * 7, gid="k3+p3+k1"),
+        build(0, [], gid="empty2"),
+    ]
+    for i in range(6):
+        graphs.append(random_graph(rng, rng.randrange(1, 10), rng.choice([0.2, 0.5, 0.8]),
+                                   labels=rng.choice([1, 2, 3]), gid=f"r{i}"))
+    return graphs
+
+
+BATCH_PATTERNS = KERNEL_PATTERNS + (
+    cycle(6, root=0),
+    with_labels(clique(3, root=0), [0, 1, 0], "k3-010"),
+    with_labels(cycle(4, root=0), [1, 0, 1, 0], "c4-1010"),
+    with_labels(lpath(2), [2, 0, 1], "l2-201"),
+    with_labels(lpath(2), [0, 5, 0], "l2-absent"),  # label 5 is in no graph
+    with_labels(RootedPattern(build(1, []), 0), [2], "dot-2"),
+)
+
+
+class TestBatchedKernel:
+    """``dp_arrays.run_dp`` on a batch equals every graph's own DP."""
+
+    def test_mixed_batch_matches_brute_and_dicts(self):
+        rng = random.Random(89)
+        for trial in range(6):
+            graphs = mixed_batch(rng)
+            rng.shuffle(graphs)
+            for pat in BATCH_PATTERNS:
+                want = per_graph_dicts(pat, graphs)
+                assert batched(pat, graphs) == want, pat.id
+                assert want == [tuple(hom_count_brute(pat, g, v) for v in range(g.n))
+                                for g in graphs], pat.id
+
+    def test_absent_label_gives_zeros(self):
+        graphs = mixed_batch(random.Random(97))
+        got = batched(BATCH_PATTERNS[-2], graphs)
+        assert got == [(0,) * g.n for g in graphs]
+        assert [len(c) for c in got] == [g.n for g in graphs]
+
+    def test_one_entry_chunks(self, monkeypatch):
+        monkeypatch.setattr(dp_arrays, "CHUNK", 1)
+        graphs = mixed_batch(random.Random(101))
+        for pat in BATCH_PATTERNS:
+            assert batched(pat, graphs) == per_graph_dicts(pat, graphs), pat.id
+
+    def test_counts_are_python_ints(self):
+        got = batched(cycle(4, root=0), [G1, H1])
+        assert got == [hom_count_dp(cycle(4, root=0), G1), hom_count_dp(cycle(4, root=0), H1)]
+        assert all(type(c) is int for counts in got for c in counts)
+
+    @given(st.lists(graphs_strategy(), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_each_graph_alone(self, graphs):
+        for pat in (clique(3, root=0), cycle(4, root=0), cycle(5, root=2),
+                    BRANCHING[1], with_labels(lpath(2), [1, 0, 1], "l2-101")):
+            assert batched(pat, graphs) == [batched(pat, [g])[0] for g in graphs]
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.name`` to record its arguments; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestBatchDispatch:
+    def test_hom_vectors_equals_hom_vector_per_graph(self, monkeypatch):
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        runs = spy(monkeypatch, dp_arrays, "run_dp")
+        graphs = mixed_batch(random.Random(103))
+        pats = [clique(3, root=0), cycle(5, root=0), with_labels(lpath(2), [0, 5, 0], "absent")]
+        for mode in ("hom", "inj", "sub"):
+            got = counting.hom_vectors(pats, graphs, mode)
+            assert got == [hom_vector(pats, g, mode) for g in graphs]
+        assert any(blocks.m == len(graphs) for _, blocks in runs)
+
+    def test_molecule_sized_dataset_takes_batched_arrays(self, monkeypatch):
+        # no threshold lowered: a few hundred molecules batch on their own
+        runs = spy(monkeypatch, dp_arrays, "run_dp")
+        graphs = molecule_graphs(random.Random(107), 150, sizes=(15, 40))
+        pats = [clique(3, root=0), cycle(5, root=0), cycle(6, root=0)]
+        got = counting.hom_vectors(pats, graphs, "sub")
+        assert runs and all(blocks.m == len(graphs) for _, blocks in runs)
+        with monkeypatch.context() as m:
+            forbid(m, dp_arrays, "run_dp")
+            assert got == [hom_vector(pats, g, "sub") for g in graphs]
+
+    def test_batches_split_at_the_dense_limit(self, monkeypatch):
+        # 32-vertex graphs and bags of at most 3: 1024 * 32**2 == DENSE_LIMIT
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        runs = spy(monkeypatch, dp_arrays, "run_dp")
+        rng = random.Random(109)
+        graphs = [random_graph(rng, 32, 0.1, labels=2, gid=f"g{i}") for i in range(1025)]
+        pat = cycle(4, root=0)
+        plan = counting.count_plan((pat,), "hom")
+        assert [len(b) for b in counting._batches(plan, graphs)] == [1024, 1]
+        got = counting.hom_vectors([pat], graphs)
+        assert [(blocks.m, blocks.R) for _, blocks in runs] == [(1024, 32), (1, 32)]
+        assert 1024 * 32**2 == counting.DENSE_LIMIT
+        assert got == [[c] for c in per_graph_dicts(pat, graphs)]
+
+    def test_graph_over_the_int64_bound_runs_alone_on_dicts(self, monkeypatch):
+        # hom(P_10, K_100) at an end vertex is 99**9, and 100 * 99**9 > 2**63,
+        # so K_100 runs on dicts between two array batches
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        runs = spy(monkeypatch, dp_arrays, "run_dp")
+        dict_runs = spy(monkeypatch, counting, "_run_dp_dict")
+        rng = random.Random(113)
+        small = [random_graph(rng, 8, 0.4, gid=f"s{i}") for i in range(6)]
+        kn = complete(100, gid="k100")
+        graphs = small[:3] + [kn] + small[3:]
+        pat = lpath(9)
+        plan = counting.count_plan((pat,), "hom")
+        assert [[g.id for g in b] for b in counting._batches(plan, graphs)] == [
+            ["s0", "s1", "s2"], ["k100"], ["s3", "s4", "s5"]]
+        got = counting.hom_vectors([pat], graphs)
+        assert [blocks.m for _, blocks in runs] == [3, 3]
+        assert [g.id for _, g in dict_runs] == ["k100"]
+        assert got[3] == [(99**9,) * 100]
+        assert got == [[c] for c in per_graph_dicts(pat, graphs)]

@@ -110,6 +110,30 @@ class TestFeatures:
         isolated = [Graph(f"v{i}", 1, (0,), ()) for i in range(30)]
         assert_reconstructs(cliques + isolated, [path_pattern(10), path_pattern(9)])
 
+    def test_columns_past_1e13_flagged_inexact(self):
+        # rooted L8 on a 200-vertex graph of density 0.6 counts about 1e16 to
+        # 1e17 per vertex, and most of those miss on the way back; L1's
+        # degrees all return, and its header line stays as it was
+        rng = random.Random(131)
+        graphs = [random_graph(rng, 200, 0.6, "dense", labels=1),
+                  Graph("p3", 3, (0,) * 3, ((0, 1), (1, 2)))]
+        pats = [path_pattern(8), path_pattern(1)]
+        table = compute_features(graphs, pats, normalize="log-z")
+        buf = io.StringIO()
+        write_csv(table, buf)
+        lines = buf.getvalue().splitlines()
+        header = [line for line in lines if line.startswith("# column ")]
+        assert header[0].endswith(" constant=false exact=false")
+        assert header[1].endswith(" constant=false")
+        transforms = read_transforms(lines)
+        assert [t.exact for t in transforms.values()] == [False, True]
+        assert max(c[0] for _, _, _, c in table.rows) > 10**13
+        data = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        missed = [j for j, name in enumerate(table.column_names)
+                  for row, (_, _, _, counts) in zip(data, table.rows)
+                  if reconstruct_count(float(row[3 + j]), transforms[name]) != counts[j]]
+        assert len(missed) > 100 and set(missed) == {0}
+
     def test_deterministic_across_threads(self):
         graphs = synthetic_dataset(20, seed=9)
         pats = [clique_pattern(3), cycle_pattern(4)]
