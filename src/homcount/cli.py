@@ -54,7 +54,8 @@ class _CliParser(argparse.ArgumentParser):
 def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
     sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers for per-graph work (0 = auto)")
+                     help="parallel workers for features (0 = auto); "
+                          "other subcommands accept and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:

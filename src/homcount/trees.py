@@ -164,8 +164,8 @@ def hom_pattern_tree(
 def _backbone_shapes(max_vertices: int, max_depth: int):
     """Rooted trees as parent arrays (``parent[v] < v``) of depth at most
     ``max_depth``, by size, then lexicographically; duplicates up to
-    isomorphism are fine, the caller dedups flattened forms. Prefixes deeper
-    than ``max_depth`` are cut, so the work follows the shapes kept."""
+    isomorphism are fine, the caller dedups by structural key, then by code.
+    Prefixes deeper than ``max_depth`` are cut, so the work follows the shapes kept."""
 
     def grow(parent: tuple[int, ...], depth: tuple[int, ...], t: int):
         if len(parent) == t:
@@ -190,6 +190,15 @@ def _multiplicity_vectors(num_patterns: int, max_total: int):
             yield (m,) + rest
 
 
+def _structure_key(parent, labels, assignment):
+    """AHU-style key (label, attachment vector, sorted child keys) of the
+    root, built bottom-up; equal keys mean isomorphic flattened forms."""
+    kids: list[list] = [[] for _ in parent]
+    for v in range(len(parent) - 1, 0, -1):  # parent[v] < v: children first
+        kids[parent[v]].append((labels[v], assignment[v], tuple(sorted(kids[v]))))
+    return labels[0], assignment[0], tuple(sorted(kids[0]))
+
+
 def enumerate_pattern_trees(
     patterns: Sequence[RootedPattern],
     budget: EnumerationBudget,
@@ -197,6 +206,9 @@ def enumerate_pattern_trees(
 ) -> tuple[list[PatternTree], bool]:
     """Every tree within budget, exactly once up to isomorphism of its
     flattened form, sorted by that form's canonical code.
+
+    A candidate whose structural key an earlier one had is skipped unflattened;
+    the canonical code merges what the key splits (say, an attached L2).
 
     Returns (trees, truncated); ``truncated`` reports that the hard cap cut
     the stream short.
@@ -208,13 +220,18 @@ def enumerate_pattern_trees(
                 if all(m == 0 or p.root_label == label for p, m in zip(patterns, s))]
         for label in alphabet
     }
+    shapes: set = set()
     seen: dict[bytes, PatternTree] = {}
     truncated = False
     for parent in _backbone_shapes(budget.backbone, budget.depth):
         t = len(parent)
         for labels in product(alphabet, repeat=t):
             for assignment in product(*(options[label] for label in labels)):
-                tree = PatternTree(parent, labels, tuple(assignment), patterns)
+                key = _structure_key(parent, labels, assignment)
+                if key in shapes:
+                    continue
+                shapes.add(key)
+                tree = PatternTree(parent, labels, assignment, patterns)
                 code = canonical_code(flatten(tree).graph, 0)
                 if code not in seen:
                     seen[code] = tree

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,15 @@ def k3_file(tmp_path):
     return write(
         tmp_path / "k3.json",
         json.dumps([{"id": "K3", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "root": 0}]),
+    )
+
+
+@pytest.fixture
+def c3c4_file(tmp_path):
+    return write(
+        tmp_path / "c3c4.json",
+        json.dumps([{"id": "C3", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "root": 0},
+                    {"id": "C4", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "root": 0}]),
     )
 
 
@@ -377,6 +387,22 @@ class TestAdvise:
 
 
 class TestWitness:
+    # SHA-256 of the whole stdout: the witness JSON is pinned byte for byte
+    def test_fig2_c3c4_bytes_pinned(self, capsys, fig2_files, c3c4_file):
+        code, out, _ = run(capsys, "witness", *fig2_files, "--patterns", c3c4_file,
+                           "--depth", "1")
+        assert code == 0
+        assert json.loads(out)["trees_enumerated"] == 504
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "23e664398c37280088cc70c26cd9256a317debde5216c22328111e2a469ee053")
+
+    def test_fig1_k3_bytes_pinned(self, capsys, fixture_files, k3_file):
+        code, out, _ = run(capsys, "witness", *fixture_files, "--patterns", k3_file)
+        assert code == 0
+        assert json.loads(out)["trees_enumerated"] == 222
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2a63b1821e352f199e82dd0369006a30e939ecf0edcb4f707601ee119560304f")
+
     def test_fig2_witness(self, capsys, fig2_files, k3_file):
         a, b = fig2_files
         code, out, _ = run(capsys, "witness", a, b, "--patterns", k3_file,

@@ -213,6 +213,87 @@ class TestEnumeration:
         assert with_attach[0].labels == (1,)
 
 
+def reference_enumeration(patterns, budget, alphabet=(0,)):
+    """The enumeration deduplicated by canonical code alone: every candidate
+    is flattened and coded, and the first of each code is kept."""
+    patterns = tuple(patterns)
+    vectors = list(tree_module._multiplicity_vectors(len(patterns), budget.multiplicity))
+    seen = {}
+    for parent in tree_module._backbone_shapes(budget.backbone, budget.depth):
+        for labels in itertools.product(alphabet, repeat=len(parent)):
+            options = [[s for s in vectors
+                        if all(m == 0 or p.root_label == label for p, m in zip(patterns, s))]
+                       for label in labels]
+            for assignment in itertools.product(*options):
+                tree = PatternTree(parent, labels, assignment, patterns)
+                seen.setdefault(canonical_code(flatten(tree).graph, 0), tree)
+                if len(seen) > budget.max_trees:
+                    return [seen[c] for c in sorted(seen)][: budget.max_trees], True
+    return [seen[c] for c in sorted(seen)], False
+
+
+def shape(trees):
+    return [(t.parent, t.labels, t.attachments) for t in trees]
+
+
+L2 = RootedPattern(build(2, [(0, 1)], gid="l2"), 0)
+K3_OTHER = RootedPattern(build(3, [(0, 1), (0, 2), (1, 2)], gid="k3b"), 2)
+VERTEX = RootedPattern(build(1, [], gid="v"), 0)
+K3_LABELED = RootedPattern(build(3, [(0, 1), (0, 2), (1, 2)], labels=[1, 0, 1], gid="k3l"), 0)
+
+
+class TestStructuralPrefilter:
+    """The structural key only skips candidates; the kept stream, its order
+    and the truncation flag are those of deduplicating by canonical code."""
+
+    @pytest.mark.parametrize("patterns,budget,alphabet", [
+        ([], EnumerationBudget(), (0,)),
+        ([K3], EnumerationBudget(depth=2, backbone=3, multiplicity=2), (0,)),
+        ([cycle(3), cycle(4)], EnumerationBudget(depth=1, backbone=3, multiplicity=2), (0,)),
+        ([cycle(3), cycle(4), L2], EnumerationBudget(depth=2, backbone=3, multiplicity=1), (0,)),
+        ([K3, K3_OTHER], EnumerationBudget(depth=1, backbone=3, multiplicity=1), (0,)),
+        ([VERTEX, K3], EnumerationBudget(depth=2, backbone=3, multiplicity=1), (0,)),
+        ([K3_LABELED], EnumerationBudget(depth=2, backbone=3, multiplicity=1), (0, 1)),
+    ], ids=["empty", "k3", "c3c4", "c3c4l2", "k3-twice", "vertex-k3", "labeled-k3"])
+    def test_matches_code_only_dedup(self, patterns, budget, alphabet):
+        want, want_truncated = reference_enumeration(patterns, budget, alphabet)
+        got, truncated = enumerate_pattern_trees(patterns, budget, alphabet)
+        assert shape(got) == shape(want)
+        assert truncated == want_truncated
+
+    @pytest.mark.parametrize("below", [1, 0], ids=["one-short", "exact"])
+    def test_truncation_matches_code_only_dedup(self, below):
+        budget = EnumerationBudget(depth=2, backbone=3, multiplicity=1)
+        classes = len(reference_enumeration([K3, L2], budget)[0])
+        budget = EnumerationBudget(depth=2, backbone=3, multiplicity=1,
+                                   max_trees=classes - below)
+        want, want_truncated = reference_enumeration([K3, L2], budget)
+        got, truncated = enumerate_pattern_trees([K3, L2], budget)
+        assert shape(got) == shape(want)
+        assert truncated == want_truncated == bool(below)
+
+    def count_codes(self, monkeypatch, patterns, budget):
+        calls = []
+
+        def spy(g, root):
+            calls.append(g)
+            return canonical_code(g, root)
+
+        monkeypatch.setattr(tree_module, "canonical_code", spy)
+        trees, _ = enumerate_pattern_trees(patterns, budget)
+        return len(calls), len(trees)
+
+    def test_one_code_per_kept_tree_for_2_connected_patterns(self, monkeypatch):
+        calls, kept = self.count_codes(
+            monkeypatch, [cycle(3), cycle(4)], EnumerationBudget(depth=2, backbone=3))
+        assert calls == kept
+
+    def test_code_dedup_merges_isomorphic_patterns(self, monkeypatch):
+        calls, kept = self.count_codes(
+            monkeypatch, [K3, K3_OTHER], EnumerationBudget(depth=1, backbone=3, multiplicity=1))
+        assert calls > kept
+
+
 class TestHarness:
     def test_worked_pair_witness(self):
         report = tree_equivalence_report(
