@@ -11,26 +11,21 @@ P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
 them. Such counts are local: a vertex's count in G1 ⊔ … ⊔ Gm is its count in
 its own graph (Lovász, *Large networks and graph limits*, 2012), so
 :func:`hom_vectors` runs each basis pattern of a count plan once per batch of
-graphs (:func:`_batches`, consecutive in input order) and splits the result
-per graph. Tables take one of two representations, chosen per batch before
-the DPs run. Dicts of Python ints, each value checked against the ceiling,
-serve every DP by default, one graph at a time. int64 numpy key/count arrays
-(:mod:`homcount.dp_arrays`) serve a basis pattern P on k vertices over a
-batch of m graphs with largest vertex count R and largest degree Δ when
-R * Δ**(k-1) < 2**63, which bounds every table value (proof at
-:func:`_use_arrays`); when m * R**2 and m * R**(b-1), for P's largest bag
-size b, are at most ``DENSE_LIMIT``, which bounds the kernel's dense arrays;
-and when the entries the batch's fitting DPs are expected to hold on random
-graphs with its graphs' n and average degree (:func:`_estimated_entries`)
-number at least ``ARRAY_MIN_ENTRIES`` in all. A single call is the batch of
-one pattern on one graph. That module, and numpy with it, is imported only
-when the arrays are used. Both return Python ints.
+graphs (consecutive in input order) and splits the result per graph. Tables
+take one of two representations: dicts of Python ints, each value checked
+against the ceiling, one graph at a time, or int64 numpy key/count arrays
+(:mod:`homcount.dp_arrays`) over a whole batch. :func:`_batches` splits the
+graphs and picks the kernel per batch and basis pattern, and its docstring
+gives the rules; a single call is a batch of one graph. ``dp_arrays``, and
+numpy with it, is imported only when the arrays are used. Both kernels return
+Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -99,8 +94,6 @@ class _DpStep:
 class _DpPlan(NamedTuple):
     steps: tuple[_DpStep, ...]  # postorder; the last step's bag is (root,)
     largest_bag: int
-    free_introduces: int  # introduce steps whose vertex has no prior neighbour
-    linked_introduces: int  # introduce steps whose vertex has one or more
 
 
 @lru_cache(maxsize=512)
@@ -133,9 +126,7 @@ def _dp_plan(p: RootedPattern) -> _DpPlan:
             steps.append(_DpStep("forget", nd.children, child_bag.index(nd.vertex), -1, (), size))
         else:
             steps.append(_DpStep("join", nd.children, -1, -1, (), size))
-    introduces = [s for s in steps if s.kind == "introduce"]
-    free = sum(not s.prior_positions for s in introduces)
-    return _DpPlan(tuple(steps), max(s.size for s in steps), free, len(introduces) - free)
+    return _DpPlan(tuple(steps), max(s.size for s in steps))
 
 
 # Both kernels key a table entry by its bag's images in mixed radix n: the
@@ -168,89 +159,6 @@ def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
             size = min(sizes[c] for c in step.children)
         sizes.append(size)
     return sum(sizes)
-
-
-def _use_arrays(patterns: Sequence[RootedPattern], graphs: Sequence[Graph]) -> list[bool]:
-    """For each pattern, whether it runs on the int64 array kernel over the
-    batch ``graphs`` at once (one pattern and one graph for a single call):
-    those for which the kernel is exact and its dense arrays fit, if the
-    DPs of all of those on all the graphs are worth the kernel.
-
-    Bound: let P be connected with k vertices, R the batch's largest vertex
-    count and Δ its largest degree. A table entry counts the maps of the
-    vertices forgotten below its node that extend the bag's images, and the
-    kernel never builds an entry whose images span two graphs, so it counts
-    maps into one graph G of n <= R vertices. Every edge at a forgotten
-    vertex lies in a bag below the node, so each component of the forgotten
-    vertices has a neighbour in the bag, or else is all of P. With a
-    nonempty bag, visiting the forgotten vertices in breadth-first order from
-    the bag gives each at most Δ images: the entry is at most Δ**(k-1). An
-    empty bag holds one entry per graph: 1 at a leaf, otherwise the maps of
-    all of P, with at most n images for a first vertex and Δ for each
-    further one, n * Δ**(k-1). Forget sums and join products are themselves
-    table entries, and the partial sums of a forget are no larger, so
-    R * Δ**(k-1) < 2**63 keeps every value in int64.
-
-    Size: the kernel keeps a dense adjacency table of m * R * R entries for a
-    batch of m graphs and sums each forget into a dense array of
-    m * R**(bag size) entries, so both m * R**2 and m * R**(b-1), for the
-    largest bag size b, stay within ``DENSE_LIMIT``; keys then stay below
-    m * R**b <= 2**30.
-
-    Worth it: on random graphs of 100 to 1000 vertices and average degree 2
-    to 10, with rooted C3 to C7, unrooted C4 and C6 and rooted P4 and P6,
-    the arrays saved 0.4 to 1.8 microseconds (median 1.0) per estimated
-    entry on calls of 2 * 10**4 estimated entries or more. Every call
-    estimated at ``ARRAY_MIN_ENTRIES`` or more saved at least 0.09 s, about
-    the 0.11 to 0.15 s that importing numpy costs, so one call alone
-    recovers the import. A batch's estimate sums those of its patterns on
-    its graphs; a small run within it costs the kernel a few milliseconds at
-    most (rooted C3 on the 1000-vertex graph above: 13.6 ms against 11.1).
-    """
-    m = len(graphs)
-    size = max((g.n for g in graphs), default=0)
-    plans = [_dp_plan(p) for p in patterns]
-    fits = [
-        size > 0
-        and m * size ** max(2, plan.largest_bag - 1) <= DENSE_LIMIT
-        and _within_int64(size, p.graph.n, graphs)
-        for p, plan in zip(patterns, plans)
-    ]
-    fitting = [plan for plan, ok in zip(plans, fits) if ok]
-    shapes = [(g.n, 2 * len(g.edges) / g.n) for g in graphs if g.n]
-    # in the estimate an introduce multiplies by n or by at most max(d, 1), and
-    # forgets and joins never raise it, so this cheap bound settles small batches
-    bound = sum(
-        len(plan.steps) * n**plan.free_introduces * max(d, 1.0) ** plan.linked_introduces
-        for plan in fitting for n, d in shapes
-    )
-    if bound >= ARRAY_MIN_ENTRIES:
-        total = 0.0
-        for plan in fitting:
-            for n, d in shapes:
-                total += _estimated_entries(plan, n, d)
-            if total >= ARRAY_MIN_ENTRIES:
-                return fits
-    return [False] * len(patterns)
-
-
-def _within_int64(size: int, k: int, graphs: Sequence[Graph]) -> bool:
-    """Whether size * Δ**(k-1) < 2**63 for the graphs' largest degree Δ;
-    Δ < size settles it without a look at the graphs on most inputs."""
-    if size * (size - 1) ** (k - 1) < INT64_LIMIT:
-        return True
-    delta = max((len(nbrs) for g in graphs for nbrs in g.adjacency), default=0)
-    return size * delta ** (k - 1) < INT64_LIMIT
-
-
-def _run_dp(p: RootedPattern, g: Graph) -> tuple[int, ...]:
-    """Execute the DP; returns p's hom count at every anchor of g."""
-    plan = _dp_plan(p)
-    if _use_arrays([p], [g])[0]:
-        from homcount import dp_arrays  # loads numpy
-
-        return dp_arrays.run_dp(plan, dp_arrays.Blocks([g]))[0]
-    return _run_dp_dict(plan, g)
 
 
 def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
@@ -320,18 +228,19 @@ def hom_count_dp(pattern: PatternLike, g: Graph) -> Union[tuple[int, ...], int]:
     each rooted at its first vertex, of their anchor sums (Lovász, *Large
     networks and graph limits*, 2012); the empty pattern counts 1. Anchor sums
     and products are checked against the 2**127-1 ceiling. Bit-identical to
-    :func:`hom_count_brute` on every input; the module docstring says which
-    calls run on int64 arrays.
+    :func:`hom_count_brute` on every input; the pattern, or its components,
+    are one batch of :func:`_batches`, which picks their kernel.
     """
-    if isinstance(pattern, RootedPattern):
-        counts = _run_dp(pattern, g)
-        _check(sum(counts))
-        return counts
+    rooted = isinstance(pattern, RootedPattern)
+    parts = [pattern] if rooted else [RootedPattern(pattern.induced_subgraph(comp), 0)
+                                      for comp in connected_components(pattern)]
+    (counts,) = _basis_counts(parts, [g])
+    if isinstance(counts, CountOverflowError):
+        raise counts
     total = 1
-    for comp in connected_components(pattern):
-        component = RootedPattern(pattern.induced_subgraph(comp), 0)
-        total = _check(total * sum(_run_dp(component, g)))
-    return total
+    for c in counts:
+        total = _check(total * sum(c))
+    return counts[0] if rooted else total
 
 
 # --- count plans: hom, injective and subgraph counts ------------------------------
@@ -378,16 +287,71 @@ def _combine(terms, divisor: int) -> tuple[int, ...]:
     return tuple(c // divisor for c in counts) if divisor > 1 else tuple(counts)
 
 
-def _batches(plan: CountPlan, graphs: Sequence[Graph]):
+def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
     """Split ``graphs``, in order, into the batches whose basis DPs run
-    together: each grows while its dense arrays stay within ``DENSE_LIMIT``
-    for every basis pattern and its counts within the int64 bound for the
-    largest, so a graph that fails either alone is a batch of its own. The
-    widest basis pattern sets the batch size for all: with K5 among them,
-    bags of 5 put each graph of 27 or more vertices in a batch of its own."""
-    plans = [_dp_plan(q) for q in plan.basis]
+    together, and yield each with one flag per basis pattern: whether that
+    pattern runs on the int64 array kernel over the whole batch, else on
+    dicts per graph. This is the one place that picks a kernel.
+
+    A batch grows while, for the widest and the largest basis pattern, the
+    arrays fit and the counts stay exact, as below; a graph that fails
+    either alone is a batch of its own. The widest pattern sets the batch
+    size for all: with K5 among them, bags of 5 put each graph of 27 or more
+    vertices in a batch of its own. Then a pattern q on k vertices with
+    largest bag size b runs on arrays if all of these hold for the batch's m
+    graphs, largest vertex count R and largest degree Δ:
+
+    Exact: R * Δ**(k-1) < 2**63. A table entry counts the maps of the
+    vertices forgotten below its node that extend the bag's images, and the
+    kernel never builds an entry whose images span two graphs, so it counts
+    maps into one graph G of n <= R vertices. Every edge at a forgotten
+    vertex lies in a bag below the node, so each component of the forgotten
+    vertices has a neighbour in the bag, or else is all of q. With a
+    nonempty bag, visiting the forgotten vertices in breadth-first order from
+    the bag gives each at most Δ images: the entry is at most Δ**(k-1). An
+    empty bag holds one entry per graph: 1 at a leaf, otherwise the maps of
+    all of q, with at most n images for a first vertex and Δ for each
+    further one, n * Δ**(k-1). Forget sums and join products are themselves
+    table entries, and the partial sums of a forget are no larger, so every
+    value, anchor sums included, stays in int64.
+
+    Fits: m * R**max(2, b-1) <= ``DENSE_LIMIT``. The kernel keeps a dense
+    adjacency table of m * R * R entries and sums each forget into a dense
+    array of m * R**(bag size) entries; keys then stay below m * R**b <= 2**30.
+
+    Worth it: the entries that the DPs of the fitting patterns on the
+    batch's graphs are expected to hold (:func:`_estimated_entries`) number
+    at least ``ARRAY_MIN_ENTRIES`` in all; else every pattern runs on dicts.
+    On random graphs of 100 to 1000 vertices and average degree 2 to 10,
+    with rooted C3 to C7, unrooted C4 and C6 and rooted P4 and P6, the arrays
+    saved 0.4 to 1.8 microseconds (median 1.0) per estimated entry on calls
+    of 2 * 10**4 estimated entries or more. Every call estimated at
+    ``ARRAY_MIN_ENTRIES`` or more saved at least 0.09 s, about the 0.11 to
+    0.15 s that importing numpy costs, so one call alone recovers the import.
+    A small run within a batch costs the kernel a few milliseconds at most
+    (rooted C3 on the 1000-vertex graph above: 13.6 ms against 11.1).
+    """
+    plans = [_dp_plan(q) for q in basis]
     widest = max((max(2, dp.largest_bag - 1) for dp in plans), default=2)
-    k = max((q.graph.n for q in plan.basis), default=1)
+    k = max((q.graph.n for q in basis), default=1)
+
+    def flagged(batch, size, delta):
+        m = len(batch)
+        fits = [
+            size > 0
+            and m * size ** max(2, plan.largest_bag - 1) <= DENSE_LIMIT
+            and size * delta ** (q.graph.n - 1) < INT64_LIMIT
+            for q, plan in zip(basis, plans)
+        ]
+        shapes = [(g.n, 2 * len(g.edges) / g.n) for g in batch if g.n]
+        total = 0.0
+        for plan in compress(plans, fits):
+            for n, d in shapes:
+                total += _estimated_entries(plan, n, d)
+            if total >= ARRAY_MIN_ENTRIES:
+                return batch, fits
+        return batch, [False] * len(basis)
+
     batch: list[Graph] = []
     size = delta = 0
     for g in graphs:
@@ -395,19 +359,42 @@ def _batches(plan: CountPlan, graphs: Sequence[Graph]):
         grown, steeper = max(size, n), max(delta, degree)
         if batch and ((len(batch) + 1) * grown**widest > DENSE_LIMIT
                       or grown * steeper ** (k - 1) >= INT64_LIMIT):
-            yield batch
+            yield flagged(batch, size, delta)
             batch, grown, steeper = [], n, degree
         batch.append(g)
         size, delta = grown, steeper
     if batch:
-        yield batch
+        yield flagged(batch, size, delta)
 
 
-def _hom_count_or_error(q: RootedPattern, g: Graph):
+def _dict_counts(plan: _DpPlan, g: Graph):
+    """:func:`_run_dp_dict` with its anchor sum checked against the ceiling,
+    or the CountOverflowError either raised."""
     try:
-        return hom_count_dp(q, g)
+        counts = _run_dp_dict(plan, g)
+        _check(sum(counts))
     except CountOverflowError as exc:
         return exc
+    return counts
+
+
+def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
+    """For each graph, in order, every basis pattern's per-anchor counts, or
+    the CountOverflowError of the first that failed: each pattern runs once
+    per batch of :func:`_batches`, on the kernel it picked."""
+    for batch, arrays in _batches(basis, graphs):
+        if any(arrays):
+            from homcount import dp_arrays  # loads numpy
+
+            blocks = dp_arrays.Blocks(batch)
+        runs = [
+            dp_arrays.run_dp(_dp_plan(q), blocks) if on_arrays
+            else [_dict_counts(_dp_plan(q), g) for g in batch]
+            for q, on_arrays in zip(basis, arrays)
+        ]
+        for j in range(len(batch)):
+            counts = [run[j] for run in runs]
+            yield next((c for c in counts if isinstance(c, CountOverflowError)), counts)
 
 
 def hom_vectors(
@@ -415,37 +402,21 @@ def hom_vectors(
 ) -> list[Union[list[tuple[int, ...]], CountOverflowError]]:
     """For each graph, in order, each pattern's per-anchor counts in pattern
     order, in ``mode`` hom, inj or sub, or the CountOverflowError raised when
-    a count it forms exceeds the ceiling. Each basis pattern of the patterns'
-    :func:`count_plan` runs once per batch of :func:`_batches`: as one array
-    DP over the batch when :func:`_use_arrays` accepts it, else as
-    :func:`hom_count_dp` per graph."""
+    a count it forms exceeds the ceiling: the patterns' :func:`count_plan`
+    combines the counts of its basis patterns (:func:`_basis_counts`)."""
     plan = count_plan(tuple(patterns), mode)
     out: list = []
-    for batch in _batches(plan, graphs):
-        arrays = _use_arrays(plan.basis, batch)
-        if any(arrays):
-            from homcount import dp_arrays  # loads numpy
-
-            blocks = dp_arrays.Blocks(batch)
-        # an array run's anchor sums are table entries the int64 bound covers
-        basis = [
-            dp_arrays.run_dp(_dp_plan(q), blocks) if on_arrays
-            else [_hom_count_or_error(q, g) for g in batch]
-            for q, on_arrays in zip(plan.basis, arrays)
-        ]
-        for j in range(len(batch)):
-            counts = [vecs[j] for vecs in basis]
-            failed = next((c for c in counts if isinstance(c, CountOverflowError)), None)
-            if failed is not None:
-                out.append(failed)
-                continue
-            try:
-                out.append([
-                    _combine([(counts[i], w) for i, w in row], divisor)
-                    for row, divisor in zip(plan.terms, plan.divisors)
-                ])
-            except CountOverflowError as exc:
-                out.append(exc)
+    for counts in _basis_counts(plan.basis, graphs):
+        if isinstance(counts, CountOverflowError):
+            out.append(counts)
+            continue
+        try:
+            out.append([
+                _combine([(counts[i], w) for i, w in row], divisor)
+                for row, divisor in zip(plan.terms, plan.divisors)
+            ])
+        except CountOverflowError as exc:
+            out.append(exc)
     return out
 
 

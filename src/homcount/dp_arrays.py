@@ -10,11 +10,11 @@ for R the batch's largest vertex count. No entry spans two blocks: a vertex
 introduced next to a bag vertex is its neighbour, and one introduced free
 ranges over its key's own block, whose first free introduce comes from a
 leaf entry per block. A single graph is the batch m = 1, keyed in mixed
-radix n. Exact only when the int64 bound checked by ``counting._use_arrays``
-holds, which also keeps ``m * R**2`` and ``m * R**(b-1)`` for the largest bag
-size b within ``counting.DENSE_LIMIT``, so the adjacency table and every
-forget's sum are dense arrays. ``counting`` imports this module, and with it
-numpy, only for the calls that pass that check.
+radix n. ``counting._batches`` runs a pattern here only on batches where
+its counts provably fit in int64 and its dense arrays (the adjacency table
+and every forget's sum) within ``counting.DENSE_LIMIT``, and its docstring
+gives the bounds; ``counting`` imports this module, and numpy with it, only
+then.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
@@ -141,14 +143,15 @@ def _column_stats(rows, width):
         for j, c in enumerate(counts):
             xs[j].append(math.log1p(c))
     stats = []
+    # left-to-right sums: the builtin sum compensates from Python 3.12 on, so its floats differ
     for vals in xs:
         n = len(vals)
         constant = len(set(vals)) <= 1
-        mean = sum(vals) / n if n else 0.0
+        mean = reduce(add, vals, 0.0) / n if n else 0.0
         if constant or n <= 1:
             stats.append((mean, 0.0, True))
             continue
-        var = sum((x - mean) ** 2 for x in vals) / (n - 1)
+        var = reduce(add, ((x - mean) ** 2 for x in vals), 0.0) / (n - 1)
         stats.append((mean, math.sqrt(var), False))
     return stats
 
@@ -196,6 +199,14 @@ def compute_features(
     return table
 
 
+_NEEDS_QUOTES = frozenset(',"\r\n')
+
+
+def _csv_cell(text: str) -> str:
+    """Quote ``text``, doubling each ``"``, if it holds a comma, a quote, CR or LF."""
+    return text if _NEEDS_QUOTES.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
 def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet] = None):
     """RFC-4180-style CSV (LF endings) with a ``#`` header block in front.
 
@@ -216,10 +227,10 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
                 f"{'' if t.exact else ' exact=false'}\n"
             )
     header = ["graph_id", "vertex_id", "label"] + table.column_names
-    out.write(",".join(header) + "\n")
+    out.write(",".join(map(_csv_cell, header)) + "\n")
     for gid, v, label, counts in table.rows:
         ext = alphabet.label_of(label) if alphabet is not None else label
-        cells = [str(gid), str(v), str(ext)]
+        cells = [_csv_cell(str(gid)), str(v), _csv_cell(str(ext))]
         if counts is None:
             cells += ["NA"] * len(table.pattern_ids)
         elif table.transforms is None:

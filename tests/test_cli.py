@@ -322,6 +322,14 @@ class TestOverflow:
         assert code == 1 and out == ""
         assert err.startswith("error: overflow:") and err.count("\n") == 1
 
+    def test_count_total_checked(self, capsys, monkeypatch, fixture_files, k3_file):
+        # K3 counts 2 at each of g1's 6 vertices: under a ceiling of 11 every
+        # anchor fits, and the printed total of 12 does not
+        monkeypatch.setattr(counting, "MAX_COUNT", 11)
+        code, out, err = run(capsys, "count", "--pattern", k3_file, "--graph", fixture_files[0])
+        assert code == 1 and out == ""
+        assert err.startswith("error: overflow:") and err.count("\n") == 1
+
     def test_features_flags_rows(self, capsys, fixture_files, k3_file):
         code, out, err = run(capsys, "features", fixture_files[0], "--patterns", k3_file)
         assert code == 0

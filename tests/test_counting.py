@@ -13,7 +13,6 @@ from homcount.counting import (
     CountOverflowError,
     _dp_plan,
     _run_dp_dict,
-    _use_arrays,
     hom_count_brute,
     hom_count_dp,
     hom_vector,
@@ -399,13 +398,13 @@ class TestCountPlan:
         from homcount.pipeline import compute_features
 
         calls = []
-        real = counting.hom_count_dp
+        real = counting._run_dp_dict
 
-        def spy(pattern, g):
+        def spy(plan, g):
             calls.append(g.id)
-            return real(pattern, g)
+            return real(plan, g)
 
-        monkeypatch.setattr(counting, "hom_count_dp", spy)
+        monkeypatch.setattr(counting, "_run_dp_dict", spy)
         rng = random.Random(59)
         graphs = [random_graph(rng, 8, 0.4, labels=2, gid=f"m{i}") for i in range(3)]
         compute_features(graphs, bench_patterns(), mode=mode)
@@ -422,14 +421,14 @@ class TestCountPlan:
         rng = random.Random(61)
         g, other = (random_graph(rng, 7, 0.5, labels=2, gid=gid) for gid in ("bad", "ok"))
         clean = compute_features([other], pats, mode="sub").rows
-        real = counting.hom_count_dp
+        real = counting._run_dp_dict
         for bad in plan.basis:
-            def explode(pattern, graph):
-                if pattern == bad and graph.id == "bad":
+            def explode(dp_plan, graph):
+                if dp_plan == _dp_plan(bad) and graph.id == "bad":
                     raise CountOverflowError("synthetic")
-                return real(pattern, graph)
+                return real(dp_plan, graph)
 
-            monkeypatch.setattr(counting, "hom_count_dp", explode)
+            monkeypatch.setattr(counting, "_run_dp_dict", explode)
             with pytest.raises(CountOverflowError):
                 hom_vector(pats, g, "sub")
             table = compute_features([g, other], pats, mode="sub")
@@ -440,17 +439,26 @@ class TestCountPlan:
     def test_combined_count_checked_before_division(self, monkeypatch):
         # each basis count fits, but C4's injective sum (its hom count, minus
         # those of its two rooted P3 quotients, plus that of K2) is
-        # MAX_COUNT + 1, which divided by its 2 automorphisms would fit
-        def huge(pattern, g):
-            c = {4: MAX_COUNT, 2: 1}.get(pattern.graph.n, 0)
+        # MAX_COUNT + 1, which divided by its 2 automorphisms would fit; here
+        # the anchor sum of C4's hom counts fails first
+        def huge(plan, g):
+            vertices = 1 + sum(step.kind == "forget" for step in plan.steps)
+            c = {4: MAX_COUNT, 2: 1}.get(vertices, 0)
             return (c,) * g.n
 
-        monkeypatch.setattr(counting, "hom_count_dp", huge)
+        monkeypatch.setattr(counting, "_run_dp_dict", huge)
         c4 = cycle(4, root=0)
         with pytest.raises(CountOverflowError):
             hom_vector([c4], G1, "sub")
         with pytest.raises(CountOverflowError):
             sub_count(c4, G1, 0)
+
+    def test_combine_checks_before_division(self):
+        # MAX_COUNT + 1 is over the ceiling, though its half is not
+        with pytest.raises(CountOverflowError):
+            counting._combine([((MAX_COUNT, 0), 1), ((1, 0), 1)], 2)
+        assert counting._combine([((MAX_COUNT - 2, 0), 1), ((1, 0), 1)], 2) == (
+            (MAX_COUNT - 1) // 2, 0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -490,17 +498,18 @@ class TestVectorAndMatrix:
         if kernel == "arrays":
             monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
         monkeypatch.setattr(counting, "MAX_COUNT", 11)
-        assert counting._run_dp(lpath(1), complete(4)) == (3,) * 4
+        assert uses_arrays(lpath(1), complete(4)) == (kernel == "arrays")
+        assert (arrays if kernel == "arrays" else dicts)(lpath(1), complete(4)) == (3,) * 4
         with pytest.raises(CountOverflowError):
             hom_count_dp(lpath(1), complete(4))
 
     def test_overflow_raised_to_the_caller(self, monkeypatch):
         from homcount.pipeline import compute_features
 
-        def explode(pattern, g):
+        def explode(plan, g):
             raise CountOverflowError("synthetic")
 
-        monkeypatch.setattr(counting, "hom_count_dp", explode)
+        monkeypatch.setattr(counting, "_run_dp_dict", explode)
         k3 = clique(3, root=0)
         for mode in ("hom", "inj", "sub"):
             with pytest.raises(CountOverflowError):
@@ -568,7 +577,7 @@ def dicts(pat, g):
 
 
 def uses_arrays(pat, g):
-    (on_arrays,) = _use_arrays([pat], [g])
+    ((_, (on_arrays,)),) = counting._batches([pat], [g])
     return on_arrays
 
 
@@ -689,20 +698,6 @@ class TestDispatch:
         g = build(1000, sorted(edges))
         for k, large in ((3, False), (4, False), (5, True), (6, True), (7, True)):
             assert uses_arrays(cycle(k, root=0), g) == large, k
-
-    def test_quick_bound_covers_the_estimate(self):
-        # _use_arrays rejects on the bound before estimating; it must never
-        # reject a call the estimate would accept
-        rng = random.Random(79)
-        patterns = KERNEL_PATTERNS + (cycle(7, root=0), path_graph(6), complete(5))
-        for _ in range(40):
-            n = rng.randrange(2, 300)
-            d = rng.uniform(0, min(n - 1, 12))
-            for pat in patterns:
-                plan = _dp_plan(pat if isinstance(pat, RootedPattern) else RootedPattern(pat, 0))
-                bound = len(plan.steps) * n**plan.free_introduces
-                bound *= max(d, 1.0) ** plan.linked_introduces
-                assert counting._estimated_entries(plan, n, d) <= bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("kernel", ["arrays", "dicts"])
     def test_disconnected_pattern_is_product_of_components(self, monkeypatch, kernel):
@@ -908,8 +903,8 @@ class TestBatchDispatch:
         rng = random.Random(109)
         graphs = [random_graph(rng, 32, 0.1, labels=2, gid=f"g{i}") for i in range(1025)]
         pat = cycle(4, root=0)
-        plan = counting.count_plan((pat,), "hom")
-        assert [len(b) for b in counting._batches(plan, graphs)] == [1024, 1]
+        batches = list(counting._batches([pat], graphs))
+        assert [(len(b), flags) for b, flags in batches] == [(1024, [True]), (1, [True])]
         got = counting.hom_vectors([pat], graphs)
         assert [(blocks.m, blocks.R) for _, blocks in runs] == [(1024, 32), (1, 32)]
         assert 1024 * 32**2 == counting.DENSE_LIMIT
@@ -926,9 +921,9 @@ class TestBatchDispatch:
         kn = complete(100, gid="k100")
         graphs = small[:3] + [kn] + small[3:]
         pat = lpath(9)
-        plan = counting.count_plan((pat,), "hom")
-        assert [[g.id for g in b] for b in counting._batches(plan, graphs)] == [
-            ["s0", "s1", "s2"], ["k100"], ["s3", "s4", "s5"]]
+        batches = list(counting._batches([pat], graphs))
+        assert [([g.id for g in b], flags) for b, flags in batches] == [
+            (["s0", "s1", "s2"], [True]), (["k100"], [False]), (["s3", "s4", "s5"], [True])]
         got = counting.hom_vectors([pat], graphs)
         assert [blocks.m for _, blocks in runs] == [3, 3]
         assert [g.id for _, g in dict_runs] == ["k100"]

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -15,8 +16,9 @@ from homcount.families import (
     single_vertex_pattern,
     wl_equivalent_triangle_pair,
 )
-from homcount.graphs import Graph, LabelAlphabet, normalize_edges
+from homcount.graphs import Graph, LabelAlphabet, RootedPattern, normalize_edges
 from homcount.pipeline import (
+    _column_stats,
     advise,
     compute_features,
     read_transforms,
@@ -98,6 +100,43 @@ class TestFeatures:
         write_csv(table, buf)
         data_rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")][1:]
         assert all(r.endswith(",0.0") for r in data_rows)
+
+    def test_csv_quotes_ids_and_labels(self):
+        # ids, labels and pattern ids holding commas, quotes or line breaks
+        # read back as the same fields; other cells stay unquoted
+        alphabet = LabelAlphabet()
+        xy, hi, c = (alphabet.intern(x) for x in ("x,y", 'say "hi"', "C"))
+        graphs = [Graph("a,b", 3, (xy, hi, c), ((0, 1),)), Graph("line\r\nbreak", 1, (c,), ())]
+        pattern = RootedPattern(Graph("e,1", 1, (c,), ()), 0)
+        buf = io.StringIO()
+        write_csv(compute_features(graphs, [pattern]), buf, alphabet)
+        text = buf.getvalue()
+        assert text.startswith("# mode: hom\n# normalize: none\n")
+        assert list(csv.reader(io.StringIO(text.split("\n", 2)[2]))) == [
+            ["graph_id", "vertex_id", "label", "hom_e,1"],
+            ["a,b", "0", "x,y", "0"],
+            ["a,b", "1", 'say "hi"', "0"],
+            ["a,b", "2", "C", "1"],
+            ["line\r\nbreak", "0", "C", "1"],
+        ]
+        assert '"a,b",1,"say ""hi""",0\n"a,b",2,C,1\n' in text
+
+    def test_log_z_sums_left_to_right(self):
+        # log1p of 6, 7 and 8: a compensated sum (math.fsum, and the builtin
+        # sum from Python 3.12 on) differs in the last bit from the
+        # left-to-right one, for the mean and for the variance alike
+        xs = [math.log1p(c) for c in (6, 7, 8)]
+        total = 0.0
+        for x in xs:
+            total += x
+        mean = total / 3
+        squares = 0.0
+        for x in xs:
+            squares += (x - mean) ** 2
+        assert total != math.fsum(xs)
+        assert squares != math.fsum((x - mean) ** 2 for x in xs)
+        rows = [("g", v, 0, (c,)) for v, c in enumerate((6, 7, 8))]
+        assert _column_stats(rows, 1) == [(mean, math.sqrt(squares / 2), False)]
 
     def test_round_trip_reconstruction(self):
         assert_reconstructs(synthetic_dataset(40, seed=7), [path_pattern(1), path_pattern(2)])

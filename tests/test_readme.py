@@ -4,9 +4,11 @@ and the CLI example's commented output is what the command prints."""
 import ast
 import json
 import re
+from math import isqrt
 from pathlib import Path
 
 from homcount.cli import main
+from homcount.counting import ARRAY_MIN_ENTRIES, DENSE_LIMIT
 from homcount.families import wl_equivalent_triangle_pair
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -38,3 +40,11 @@ def test_wl_example_output(tmp_path, capsys):
         paths.append(str(path))
     assert main(["wl", *paths, "--variant", "wl1"]) == 0
     assert capsys.readouterr().out == line.group(1) + "\n"
+
+
+def test_kernel_limits_match_the_code():
+    # the README's numbers for the array kernel are the constants that decide
+    text = " ".join(README.split())
+    assert int(re.search(r"within 2\^(\d+) entries", text).group(1)) == DENSE_LIMIT.bit_length() - 1
+    assert int(re.search(r"about (\d+)k entries", text).group(1)) == round(ARRAY_MIN_ENTRIES / 1000)
+    assert int(re.search(r"at most (\d+) vertices", text).group(1)) == isqrt(DENSE_LIMIT)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from homcount import counting, refinement, trees as tree_module
+from homcount import counting, trees as tree_module
 from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
 from homcount.trees import (
@@ -330,16 +330,14 @@ class TestHarness:
         # K3 rooted at 0 and at 1 are one basis pattern of the count plan: one
         # DP per graph for the initial colours and one for the attachments
         k3b = RootedPattern(Graph("K3b", 3, (0,) * 3, K3.graph.edges), 1)
-        real = counting.hom_count_dp
+        real = counting._run_dp_dict
         calls = []
 
-        def spy(pattern, g):
-            calls.append((pattern.id, g.id))
-            return real(pattern, g)
+        def spy(plan, g):
+            calls.append(g.id)
+            return real(plan, g)
 
-        for module in (counting, refinement, tree_module):
-            if hasattr(module, "hom_count_dp"):
-                monkeypatch.setattr(module, "hom_count_dp", spy)
+        monkeypatch.setattr(counting, "_run_dp_dict", spy)
         report = tree_equivalence_report(
             G2, H2, [K3, k3b], rounds=1,
             budget=EnumerationBudget(depth=1, backbone=2, multiplicity=1))
