@@ -270,12 +270,6 @@ def spasm(p: RootedPattern) -> tuple[RootedPattern, ...]:
 # --- cores and automorphisms --------------------------------------------------
 
 
-def _root_images(p: RootedPattern, target_vertices: list[int]) -> list[int]:
-    """Vertices of the induced core candidate that some retraction sends the root to."""
-    sub = p.graph.induced_subgraph(target_vertices)
-    return [i for i in range(sub.n) if count_maps(p.graph, sub, p.root, i, first=True)]
-
-
 def core_of(p: RootedPattern) -> RootedPattern:
     """Minimum induced subgraph admitting a homomorphism from p, rooted at the
     image of p's root.
@@ -294,11 +288,12 @@ def core_of(p: RootedPattern) -> RootedPattern:
                 continue
             if not count_maps(g, sub, first=True):
                 continue
-            for r in _root_images(p, subset):
-                cand = RootedPattern(sub, r)
+            for r in range(size):  # the images some retraction sends the root to
+                if not count_maps(g, sub, p.root, r, first=True):
+                    continue
                 code = canonical_code(sub, r)
                 if best is None or code < best[0]:
-                    best = (code, cand)
+                    best = (code, RootedPattern(sub, r))
         if best is not None:
             return best[1]
     raise AssertionError("unreachable: the identity map always exists")

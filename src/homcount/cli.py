@@ -238,7 +238,7 @@ def _cmd_witness(args) -> int:
         max_trees=args.max_trees,
     )
     report = tree_equivalence_report(
-        a, b, patterns, rounds=args.depth, budget=budget,
+        a, b, patterns, budget=budget,
         vertex_pair=tuple(args.vertices) if args.vertices else None,
     )
     with _open_output(args.output) as out:

@@ -176,6 +176,10 @@ def compute_features(
         raise ValueError(f"unknown normalize {normalize!r}")
     if threads < 0:
         raise ValueError(f"threads must be 0 or more, got {threads}")
+    for p in patterns:
+        if normalize == "log-z" and ("\n" in p.id or "\r" in p.id):
+            raise ValueError(
+                f"pattern id {p.id!r} has a line break; a log-z header line cannot hold it")
     rows, overflowed = _all_count_rows(list(graphs), list(patterns), mode, threads)
     table = FeatureTable(
         mode=mode,
@@ -256,7 +260,7 @@ def read_transforms(path_or_lines) -> dict[str, ColumnTransform]:
         if not line.startswith("# column "):
             continue
         body = line[len("# column "):].strip()
-        name, rest = body.split(":", 1)
+        name, _, rest = body.rpartition(": ")  # the fields after it hold no ": "
         fields = dict(part.split("=", 1) for part in rest.split())
         out[name] = ColumnTransform(
             name, float(fields["mean"]), float(fields["std"]), fields["constant"] == "true",

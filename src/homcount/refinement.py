@@ -139,15 +139,12 @@ def f_wl(
     max_rounds: Optional[int] = None,
 ) -> tuple[Coloring, Coloring, Verdict]:
     """Refinement whose initial colors carry the label plus one rooted hom count
-    per pattern. An empty pattern set reproduces :func:`wl_refine` exactly."""
+    per pattern, from one :func:`homcount.counting.hom_vector` call per graph.
+    An empty pattern set reproduces :func:`wl_refine` exactly."""
     _check_rounds(max_rounds)
-    a, b = wl_refine(g, h, _hom_init(g, patterns), _hom_init(h, patterns), max_rounds)
+    init_g, init_h = (list(zip(x.labels, *hom_vector(patterns, x))) for x in (g, h))
+    a, b = wl_refine(g, h, init_g, init_h, max_rounds)
     return a, b, graph_verdict(a, b)
-
-
-def _hom_init(g: Graph, patterns: Sequence[RootedPattern]) -> list:
-    vectors = hom_vector(patterns, g)
-    return [(g.labels[v],) + tuple(vec[v] for vec in vectors) for v in range(g.n)]
 
 
 # --- folklore k-WL -----------------------------------------------------------

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from homcount.counting import _check, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, normalize_edges
-from homcount.refinement import Verdict, f_wl
+from homcount.refinement import Verdict, graph_verdict, wl_refine
 
 
 @dataclass(frozen=True)
@@ -220,32 +221,27 @@ def enumerate_pattern_trees(
                 if all(m == 0 or p.root_label == label for p, m in zip(patterns, s))]
         for label in alphabet
     }
+    candidates = (
+        (parent, labels, assignment)
+        for parent in _backbone_shapes(budget.backbone, budget.depth)
+        for labels in product(alphabet, repeat=len(parent))
+        for assignment in product(*(options[label] for label in labels))
+    )
     shapes: set = set()
     seen: dict[bytes, PatternTree] = {}
-    truncated = False
-    for parent in _backbone_shapes(budget.backbone, budget.depth):
-        t = len(parent)
-        for labels in product(alphabet, repeat=t):
-            for assignment in product(*(options[label] for label in labels)):
-                key = _structure_key(parent, labels, assignment)
-                if key in shapes:
-                    continue
-                shapes.add(key)
-                tree = PatternTree(parent, labels, assignment, patterns)
-                code = canonical_code(flatten(tree).graph, 0)
-                if code not in seen:
-                    seen[code] = tree
-                    if len(seen) > budget.max_trees:
-                        truncated = True
-                        break
-            if truncated:
+    for parent, labels, assignment in candidates:
+        key = _structure_key(parent, labels, assignment)
+        if key in shapes:
+            continue
+        shapes.add(key)
+        tree = PatternTree(parent, labels, assignment, patterns)
+        code = canonical_code(flatten(tree).graph, 0)
+        if code not in seen:
+            seen[code] = tree
+            if len(seen) > budget.max_trees:
                 break
-        if truncated:
-            break
     ordered = [seen[c] for c in sorted(seen)]
-    if truncated:
-        ordered = ordered[: budget.max_trees]
-    return ordered, truncated
+    return ordered[: budget.max_trees], len(seen) > budget.max_trees
 
 
 # --- equivalence harness ---------------------------------------------------------
@@ -310,21 +306,25 @@ def tree_equivalence_report(
     g: Graph,
     h: Graph,
     patterns: Sequence[RootedPattern],
-    rounds: int = 2,
     budget: EnumerationBudget = EnumerationBudget(),
     vertex_pair: Optional[tuple[int, int]] = None,
     trees: Optional[Sequence[PatternTree]] = None,
 ) -> HarnessReport:
-    """Cross-check refinement against tree counts on a budgeted universe.
+    """Cross-check F-WL against tree counts on a budgeted universe.
+
+    Each graph's attachment counts are computed once: they are both the
+    initial colors of ``budget.depth`` refinement rounds (the label plus one
+    count per pattern, as in :func:`homcount.refinement.f_wl`) and the counts
+    every tree is evaluated from.
 
     Forward: vertices sharing a color at round d must agree on all enumerated
     trees of depth <= d (a violation is a correctness bug). Witness: when the
-    pair is distinguished, search the stream for a tree whose counts differ,
-    graph-level or, if ``vertex_pair`` is given, rooted at that pair.
+    pair is distinguished, the first tree in the stream whose counts differ,
+    among those no deeper than the round that split the pair: the graph-level
+    counts, or, if ``vertex_pair`` is given, the counts rooted at that pair.
 
     ``trees`` short-circuits enumeration with a pre-built stream (it must come
-    from the same pattern list). Each graph's attachment counts are computed
-    once and shared by all trees.
+    from the same pattern list).
     """
     for v, grf in zip(vertex_pair or (), (g, h)):
         if not 0 <= v < grf.n:
@@ -334,11 +334,14 @@ def tree_equivalence_report(
         trees, truncated = enumerate_pattern_trees(patterns, budget, alphabet)
     else:
         trees, truncated = list(trees), False
-    col_g, col_h, verdict = f_wl(g, h, patterns, max_rounds=rounds)
-
+    rounds = budget.depth
     attach_g, attach_h = hom_vector(patterns, g), hom_vector(patterns, h)
+    col_g, col_h = wl_refine(
+        g, h, list(zip(g.labels, *attach_g)), list(zip(h.labels, *attach_h)), rounds)
+    verdict = graph_verdict(col_g, col_h)
     per_tree = [
-        (tree, hom_pattern_tree(tree, g, attach_g), hom_pattern_tree(tree, h, attach_h))
+        (tree.depth, tree, hom_pattern_tree(tree, g, attach_g),
+         hom_pattern_tree(tree, h, attach_h))
         for tree in trees
     ]
 
@@ -350,8 +353,8 @@ def tree_equivalence_report(
             classes.setdefault(c, []).append((0, v))
         for w, c in enumerate(col_h.colors_at(d)):
             classes.setdefault(c, []).append((1, w))
-        for tree, cg, ch in per_tree:
-            if tree.depth > d:
+        for depth, tree, cg, ch in per_tree:
+            if depth > d:
                 continue
             checked += 1
             for color, members in classes.items():
@@ -362,35 +365,20 @@ def tree_equivalence_report(
                         f"for tree {tree.signature()}"
                     )
 
-    witness = None
-    searched = False
-    if vertex_pair is not None:
+    if vertex_pair is None:
+        kind, limit, count_g, count_h = "graph", verdict.at_round, sum, sum
+    else:
         v, w = vertex_pair
-        split_round = next(
-            (
-                d
-                for d in range(rounds + 1)
-                if col_g.colors_at(d)[v] != col_h.colors_at(d)[w]
-            ),
+        kind, count_g, count_h = "vertex", itemgetter(v), itemgetter(w)
+        limit = next(
+            (d for d in range(rounds + 1) if col_g.colors_at(d)[v] != col_h.colors_at(d)[w]),
             None,
         )
-        if split_round is not None:
-            searched = True
-            for tree, cg, ch in per_tree:
-                if tree.depth > split_round:
-                    continue
-                if cg[v] != ch[w]:
-                    witness = Witness(tree, cg[v], ch[w], "vertex", (v, w))
-                    break
-    elif verdict.distinguished:
-        searched = True
-        limit = min(verdict.at_round if verdict.at_round is not None else rounds, rounds)
-        for tree, cg, ch in per_tree:
-            if tree.depth > limit:
-                continue
-            if sum(cg) != sum(ch):
-                witness = Witness(tree, sum(cg), sum(ch), "graph")
-                break
+    witness = None
+    if limit is not None:
+        found = ((tree, count_g(cg), count_h(ch)) for depth, tree, cg, ch in per_tree
+                 if depth <= limit)
+        witness = next((Witness(t, a, b, kind, vertex_pair) for t, a, b in found if a != b), None)
 
     return HarnessReport(
         verdict=verdict,
@@ -400,5 +388,5 @@ def tree_equivalence_report(
         forward_checked=checked,
         forward_violations=violations,
         witness=witness,
-        witness_searched=searched,
+        witness_searched=limit is not None,
     )

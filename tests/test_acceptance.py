@@ -99,7 +99,7 @@ def test_criterion_02_delayed_fixture_with_witness():
         _, _, verdict = f_wl(pair.g, pair.h, [k3])
         assert verdict.distinguished and verdict.at_round == 1
         report = tree_equivalence_report(
-            pair.g, pair.h, [k3], rounds=1, vertex_pair=pair.marked
+            pair.g, pair.h, [k3], budget=EnumerationBudget(depth=1), vertex_pair=pair.marked
         )
         assert report.ok
         assert report.witness is not None
@@ -232,7 +232,7 @@ def test_criterion_06_forward_direction():
             trees, truncated = enumerate_pattern_trees(fam, budget, alphabet=(0,))
             assert not truncated
             for g, h in pairs:
-                report = tree_equivalence_report(g, h, fam, rounds=2, trees=trees)
+                report = tree_equivalence_report(g, h, fam, budget=budget, trees=trees)
                 assert report.ok, report.forward_violations[:3]
 
 

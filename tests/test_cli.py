@@ -186,6 +186,16 @@ class TestFeatures:
         assert code == 2 and out == ""
         assert err.startswith("error: parse:") and "label [1]" in err and err.count("\n") == 1
 
+    def test_line_break_in_log_z_pattern_id_exit_2(self, capsys, tmp_path, fixture_files):
+        pats = write(tmp_path / "nl.json", json.dumps(
+            [{"id": "a\nb", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "root": 0}]))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "features", fixture_files[0], "--patterns", pats,
+                             "--normalize", "log-z", "--output", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == ("error: invalid: pattern id 'a\\nb' has a line break; "
+                       "a log-z header line cannot hold it\n")
+
     def test_byte_identical_across_threads(self, capsys, tmp_path, k3_file):
         import random
 
@@ -410,6 +420,23 @@ class TestWitness:
         assert json.loads(out)["trees_enumerated"] == 222
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "2a63b1821e352f199e82dd0369006a30e939ecf0edcb4f707601ee119560304f")
+
+    def test_fig2_vertex_bytes_pinned(self, capsys, fig2_files, k3_file):
+        code, out, _ = run(capsys, "witness", *fig2_files, "--patterns", k3_file,
+                           "--depth", "1", "--vertices", "4", "4")
+        assert code == 0
+        assert json.loads(out)["witness"]["kind"] == "vertex"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bdda2c77148da0615288835e07943074b3daab941a82bc72e14b7695df53097e")
+
+    def test_fig2_truncated_bytes_pinned(self, capsys, fig2_files, c3c4_file):
+        code, out, _ = run(capsys, "witness", *fig2_files, "--patterns", c3c4_file,
+                           "--max-trees", "50")
+        assert code == 0
+        report = json.loads(out)
+        assert report["budget_truncated"] is True and report["trees_enumerated"] == 50
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4309a4cf0d9f2543f094b5fffd5e596372029ae563df99d41d03b5d69135d602")
 
     def test_fig2_witness(self, capsys, fig2_files, k3_file):
         a, b = fig2_files

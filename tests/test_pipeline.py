@@ -51,6 +51,10 @@ def assert_reconstructs(graphs, pats):
             assert got == want
 
 
+def renamed(p, pid):
+    return RootedPattern(Graph(pid, p.graph.n, p.graph.labels, p.graph.edges), p.root)
+
+
 def synthetic_dataset(count, seed=0):
     rng = random.Random(seed)
     return [random_graph(rng, rng.randrange(5, 11), 0.4, f"g{i:04d}") for i in range(count)]
@@ -64,6 +68,20 @@ class TestFeatures:
         h_rows = [r for r in table.rows if r[0] == "h1"]
         assert all(r[3] == (2,) for r in g_rows)
         assert all(r[3] == (0,) for r in h_rows)
+
+    def test_colon_in_pattern_id_round_trips(self):
+        # the header line is "# column hom_<id>: mean=...", so the id's own
+        # colons must not be taken for the separator
+        pats = [renamed(clique_pattern(3), "a:b"), renamed(cycle_pattern(4), "c: d")]
+        graphs = synthetic_dataset(6, seed=4)
+        assert_reconstructs(graphs, pats)
+
+    def test_line_break_in_pattern_id_rejected_for_log_z(self):
+        pat = renamed(clique_pattern(3), "a\nb")
+        graphs = synthetic_dataset(2)
+        assert compute_features(graphs, [pat]).pattern_ids == ("a\nb",)
+        with pytest.raises(ValueError, match="line break"):
+            compute_features(graphs, [pat], normalize="log-z")
 
     def test_empty_pattern_set(self):
         pair = wl_equivalent_triangle_pair()

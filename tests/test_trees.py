@@ -5,7 +5,9 @@ import pytest
 
 from homcount import counting, trees as tree_module
 from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
+from homcount import families
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
+from homcount.refinement import f_wl
 from homcount.trees import (
     EnumerationBudget,
     PatternTree,
@@ -297,7 +299,7 @@ class TestStructuralPrefilter:
 class TestHarness:
     def test_worked_pair_witness(self):
         report = tree_equivalence_report(
-            G2, H2, [K3], rounds=1, vertex_pair=(4, 4)
+            G2, H2, [K3], budget=EnumerationBudget(depth=1), vertex_pair=(4, 4)
         )
         assert report.ok
         assert report.verdict.distinguished and report.verdict.at_round == 1
@@ -306,13 +308,13 @@ class TestHarness:
         assert flatten(report.witness.tree).graph.n == 4
 
     def test_graph_level_witness(self):
-        report = tree_equivalence_report(G2, H2, [K3], rounds=1)
+        report = tree_equivalence_report(G2, H2, [K3], budget=EnumerationBudget(depth=1))
         assert report.witness is not None
         assert report.witness.kind == "graph"
         assert report.witness.count_g != report.witness.count_h
 
     def test_same_graph_no_search(self):
-        report = tree_equivalence_report(G2, G2, [K3], rounds=2)
+        report = tree_equivalence_report(G2, G2, [K3], budget=EnumerationBudget(depth=2))
         assert not report.verdict.distinguished
         assert report.ok
         assert report.witness is None and not report.witness_searched
@@ -322,13 +324,13 @@ class TestHarness:
                    normalize_edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]))
         h1 = Graph("h1", 6, (0,) * 6,
                    normalize_edges([(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]))
-        report = tree_equivalence_report(g1, h1, [], rounds=2)
+        report = tree_equivalence_report(g1, h1, [], budget=EnumerationBudget(depth=2))
         assert report.ok
         assert not report.verdict.distinguished
 
     def test_attachment_counts_once_per_graph(self, monkeypatch):
-        # K3 rooted at 0 and at 1 are one basis pattern of the count plan: one
-        # DP per graph for the initial colours and one for the attachments
+        # K3 rooted at 0 and at 1 are one basis pattern of the count plan, and
+        # one DP per graph gives both the initial colours and the attachments
         k3b = RootedPattern(Graph("K3b", 3, (0,) * 3, K3.graph.edges), 1)
         real = counting._run_dp_dict
         calls = []
@@ -339,10 +341,9 @@ class TestHarness:
 
         monkeypatch.setattr(counting, "_run_dp_dict", spy)
         report = tree_equivalence_report(
-            G2, H2, [K3, k3b], rounds=1,
-            budget=EnumerationBudget(depth=1, backbone=2, multiplicity=1))
+            G2, H2, [K3, k3b], budget=EnumerationBudget(depth=1, backbone=2, multiplicity=1))
         assert report.ok and report.witness is not None
-        assert len(calls) == 4
+        assert sorted(calls) == ["g2", "h2"]
 
     def test_unrooted_count_is_anchor_sum(self):
         tree = PatternTree((-1, 0), (0, 0), ((0,), (1,)), (K3,))
@@ -351,11 +352,9 @@ class TestHarness:
 
     def test_cycle_hierarchy_depth_zero_witness(self):
         # the first separating tree is the bare 4-cycle attachment
-        from homcount.families import cycle_hierarchy_pair
-
-        pair = cycle_hierarchy_pair(4)
+        pair = families.cycle_hierarchy_pair(4)
         fam = [cycle(3), cycle(4)]
-        report = tree_equivalence_report(pair.g, pair.h, fam, rounds=2)
+        report = tree_equivalence_report(pair.g, pair.h, fam, budget=EnumerationBudget(depth=2))
         assert report.ok
         assert report.verdict.at_round == 0
         assert report.witness is not None
@@ -363,3 +362,18 @@ class TestHarness:
         assert wt.depth == 0
         flat = flatten(wt)
         assert is_isomorphic(flat.graph, cycle(4).graph)
+
+    @pytest.mark.parametrize("pair", [
+        families.wl_equivalent_triangle_pair(),
+        families.delayed_triangle_pair(),
+        families.cycle_union_pair(3),
+        families.cycle_hierarchy_pair(4),
+        families.cfi_pair(K3),
+    ], ids=["fig1", "fig2", "cycle-union-3", "cycle-hierarchy-4", "cfi-k3"])
+    def test_verdict_is_f_wl_at_budget_depth(self, pair):
+        for patterns in ([], [K3], [cycle(3), cycle(4)]):
+            for depth in (0, 1, 2):
+                budget = EnumerationBudget(depth=depth, backbone=3, multiplicity=1)
+                report = tree_equivalence_report(pair.g, pair.h, patterns, budget=budget)
+                assert report.ok and report.rounds == depth
+                assert report.verdict == f_wl(pair.g, pair.h, patterns, max_rounds=depth)[2]
