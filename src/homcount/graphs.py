@@ -56,8 +56,8 @@ class Graph:
     """Immutable undirected vertex-labelled graph.
 
     ``edges`` is a sorted tuple of (u, v) pairs with u < v; no self-loops or
-    duplicates. ``labels`` has one entry per vertex. Everything derived
-    (adjacency, bitmasks) is cached lazily and never mutated.
+    duplicates. ``labels`` has one entry per vertex, each in [0, 2^32).
+    Everything derived (adjacency, bitmasks) is cached lazily and never mutated.
     """
 
     id: str
@@ -73,6 +73,8 @@ class Graph:
                 f"labels has length {len(self.labels)}, expected {self.n}",
                 field="labels",
             )
+        if self.labels and not (0 <= min(self.labels) and max(self.labels) < 1 << 32):
+            raise ParseError("labels must be integers in [0, 2^32)", field="labels")
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -282,8 +284,8 @@ def serialize_pattern(p: RootedPattern, alphabet: Optional[LabelAlphabet] = None
 def refine(
     colors: Sequence[int], signatures: Callable[[Sequence[int]], list]
 ) -> Iterator[list[int]]:
-    """Colour refinement, the one round loop behind canonical codes, 1-WL/F-WL
-    and folklore k-WL.
+    """Colour refinement over arbitrary items, the round loop behind folklore
+    k-WL; vertex refinement runs :func:`refine_cells`.
 
     ``signatures(colors)`` returns one hashable, comparable signature per item
     that starts with the item's own colour. Each round recolours every item by
@@ -304,38 +306,72 @@ def refine(
             return
 
 
-def neighbour_signatures(adjacency: Sequence[Sequence[int]]):
-    """Signatures for :func:`refine`: an item's colour and the sorted colours
-    of its neighbours."""
-    return lambda colors: [
-        (colors[v], tuple(sorted(colors[u] for u in nbrs)))
-        for v, nbrs in enumerate(adjacency)
-    ]
-
-
-# --- isomorphism and canonical codes -------------------------------------
-
-def _cells(colors: Sequence[int]) -> list[list[int]]:
-    buckets: dict[int, list[int]] = {}
+def cells_of(colors: Sequence) -> list[list[int]]:
+    """One cell per colour, in colour order, each listing its items in order."""
+    buckets: dict = {}
     for v, c in enumerate(colors):
         buckets.setdefault(c, []).append(v)
     return [buckets[c] for c in sorted(buckets)]
 
 
-def _encode_by_order(g: Graph, order: Sequence[int], root: Optional[int]) -> bytes:
-    adj = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
-    k = 0
-    for i in range(g.n):
-        mask = g.adj_masks[order[i]]
-        for j in range(i + 1, g.n):
-            if mask >> order[j] & 1:
-                adj[k >> 3] |= 1 << (k & 7)
-            k += 1
+def refine_cells(
+    adjacency: Sequence[Sequence[int]],
+    cells: Sequence[list[int]],
+    changed: Optional[Iterable[int]] = None,
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """1-WL rounds from the ordered partition ``cells``, behind canonical codes
+    and 1-dim and hom-augmented refinement: each round's ``(colors, cells)``,
+    colours as :func:`refine` gives them for neighbour signatures, up to the
+    closing round that splits nothing. Only cells next to ``changed`` (default:
+    all) can split in the first round. Cells keep their items' order."""
+    # Re-signing only touched cells is exact. A signature starts with the
+    # vertex's own colour, so a round's ranking is each old cell's sorted
+    # distinct neighbour tuples, concatenated in cell order. A cell can split
+    # in round r+1 only if a member has a neighbour in a cell that split in
+    # round r; any other cell keeps one colour, shifted by earlier splits.
+    colors = [0] * len(adjacency)
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    while True:
+        touched = range(len(cells)) if changed is None else {
+            colors[u] for w in changed for u in adjacency[w]}
+        changed, parts = [], {}
+        for c in touched:
+            if len(cells[c]) > 1:
+                sigs: dict[tuple, list[int]] = {}
+                for v in cells[c]:
+                    sigs.setdefault(tuple(sorted([colors[u] for u in adjacency[v]])), []).append(v)
+                if len(sigs) > 1:
+                    parts[c] = [sigs[s] for s in sorted(sigs)]
+                    changed += cells[c]
+        if parts:
+            cells = [p for c, cell in enumerate(cells) for p in parts.get(c, (cell,))]
+            colors = [0] * len(adjacency)
+            for c, cell in enumerate(cells):
+                for v in cell:
+                    colors[v] = c
+        yield colors, cells
+        if not parts:
+            return
+
+
+# --- isomorphism and canonical codes -------------------------------------
+
+def _encode_leaf(g: Graph, order: Sequence[int], root: Optional[int]) -> bytes:
+    """Size, root position and labels in ``order``, then the upper adjacency
+    triangle of the reordered graph row by row, pair k at bit k."""
+    pos = {v: i for i, v in enumerate(order)}
+    bits = offset = 0
+    for i, v in enumerate(order):
+        row = 0
+        for u in g.adjacency[v]:
+            row |= 1 << pos[u]
+        bits |= row >> (i + 1) << offset
+        offset += g.n - 1 - i
+    head = g.n.to_bytes(4, "big") + (b"" if root is None else pos[root].to_bytes(4, "big"))
     lab = b"".join(g.labels[v].to_bytes(4, "big") for v in order)
-    head = g.n.to_bytes(4, "big")
-    if root is not None:
-        head += order.index(root).to_bytes(4, "big")
-    return head + lab + bytes(adj)
+    return head + lab + bits.to_bytes((offset + 7) // 8, "little")
 
 
 def _are_twins(g: Graph, u: int, v: int) -> bool:
@@ -347,47 +383,40 @@ def _are_twins(g: Graph, u: int, v: int) -> bool:
     return mu == mv
 
 
-def _canonical_search(g: Graph, colors: list[int], best: list[Optional[bytes]],
-                      root: Optional[int]):
-    for colors in refine(colors, neighbour_signatures(g.adjacency)):
-        pass  # keep the stable colouring, the last one yielded
-    cells = _cells(colors)
-    target = next((c for c in cells if len(c) > 1), None)
-    if target is None:
-        order = [v for cell in cells for v in cell]
-        code = _encode_by_order(g, order, root)
-        if best[0] is None or code < best[0]:
-            best[0] = code
-        return
-    tried: list[int] = []
-    for v in target:
-        if any(_are_twins(g, v, u) for u in tried):
-            continue
-        tried.append(v)
-        branch = list(colors)
-        branch[v] = -1  # individualize: strictly smaller than any cell id
-        _canonical_search(g, branch, best, root)
-
-
 def canonical_code(g: Graph, root: Optional[int] = None) -> bytes:
     """Deterministic byte string equal for two graphs iff they are isomorphic.
 
     Individualization-refinement over equitable partitions; the rooted variant
     pins the root into its own cell, so codes agree iff there is a rooted
-    isomorphism. Intended for small graphs; exactness over speed.
+    isomorphism. A child node re-signs only the cells next to the one it split.
     """
     if g.n == 0:
         return (0).to_bytes(4, "big")
-    init = [g.labels[v] for v in range(g.n)]
-    if root is not None:
-        m = max(init) + 1
-        init = [c + m for c in init]
-        init[root] = 0
+    cells = cells_of(g.labels)
+    if root is not None:  # the root's colour is the smallest
+        cells = [[root], *filter(None, ([v for v in c if v != root] for c in cells))]
     best: list[Optional[bytes]] = [None]
-    _canonical_search(g, init, best, root)
+
+    def search(cells: Sequence[list[int]], changed: Optional[list[int]]) -> None:
+        for _, cells in refine_cells(g.adjacency, cells, changed):
+            pass  # keep the stable partition, the last one yielded
+        t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if t is None:
+            code = _encode_leaf(g, [cell[0] for cell in cells], root)
+            best[0] = code if best[0] is None else min(best[0], code)
+            return
+        target = cells[t]
+        tried: list[int] = []
+        for v in target:
+            if any(_are_twins(g, v, u) for u in tried):
+                continue
+            tried.append(v)
+            # v's new colour is the smallest, so its cell comes first
+            search([[v], *cells[:t], [u for u in target if u != v], *cells[t + 1:]], target)
+
+    search(cells, None)
     assert best[0] is not None
-    prefix = b"R" if root is not None else b"U"
-    return prefix + best[0]
+    return (b"U" if root is None else b"R") + best[0]
 
 
 def is_isomorphic(

@@ -1,10 +1,11 @@
 """Color-refinement engines: plain 1-round-based refinement, the hom-count
 augmented variant, and folklore k-dimensional refinement for k in {1,2,3}.
 
-All three run :func:`homcount.graphs.refine` on the disjoint union of the two
-graphs, so each round ranks the signatures of both graphs together and color
-ids are comparable across them. Ids are exact: two items share a round's id
-iff their signatures are equal.
+All three refine the disjoint union of the two graphs (vertices through
+:func:`homcount.graphs.refine_cells`, k-tuples through
+:func:`homcount.graphs.refine`), so each round ranks the signatures of both
+graphs together and color ids are comparable across them. Ids are exact: two
+items share a round's id iff their signatures are equal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 from homcount.algebra import SizeGuardError
 from homcount.counting import hom_vector
-from homcount.graphs import Graph, RootedPattern, neighbour_signatures, refine
+from homcount.graphs import Graph, RootedPattern, cells_of, refine, refine_cells
 
 # Cap on the substituted-tuple entries one k-WL round builds, g.n^(k+1) +
 # h.n^(k+1). Measured peak memory is 76-85 bytes per entry (3.46M entries at
@@ -128,7 +129,8 @@ def wl_refine(
     )
     history = [_first_seen_ids([*init_g, *init_h])]
     limit = g.n + h.n if max_rounds is None else max_rounds
-    history += islice(refine(history[0], neighbour_signatures(adjacency)), limit)
+    rounds = refine_cells(adjacency, cells_of(history[0]))
+    history += (colors for colors, _ in islice(rounds, limit))
     return _split_colorings(g, h, history, g.n)
 
 

@@ -92,6 +92,14 @@ class TestParseGraph:
             parse_graph(f'{{"id":"x","n":2,"labels":[1,{label}],"edges":[[0,1]]}}')
         assert err.value.field == "labels"
 
+    @pytest.mark.parametrize("label", [-2, -1, 2**32, 2**40])
+    def test_label_outside_code_range_rejected(self, label):
+        # a canonical code stores each label in 4 unsigned bytes
+        with pytest.raises(ParseError) as err:
+            Graph("x", 2, (0, label), ((0, 1),))
+        assert err.value.field == "labels"
+        assert Graph("x", 2, (0, 2**32 - 1), ((0, 1),)).labels == (0, 2**32 - 1)
+
     def test_string_and_integer_labels_kept_apart(self):
         alpha = LabelAlphabet()
         g = parse_graph('{"id":"x","n":3,"labels":["1",1,-2],"edges":[[0,1]]}', alpha)
