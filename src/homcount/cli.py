@@ -167,6 +167,9 @@ def _cmd_features(args) -> int:
     for gid in table.overflowed_graphs:
         print(f"error: overflow: graph {gid} exceeded the count limit; rows flagged NA",
               file=sys.stderr)
+    for gid in table.stats_overflowed_graphs:
+        print(f"error: overflow: stats graph {gid} exceeded the count limit; "
+              "left out of the statistics", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 for all-anchor rooted counts, and count plans, which give hom, injective and
 subgraph counts as integer combinations of shared basis hom counts.
 
-Counts are exact integers: a rooted pattern's counts are a tuple with one int
-per anchor. Anything exceeding 2**127 - 1 raises :class:`CountOverflowError`
-instead of wrapping or saturating; callers that must keep going catch it.
+Counts are exact integers, a rooted pattern's a tuple of one int per anchor.
+Returned counts are checked, a tuple by its anchor sum; intermediate values
+are exact Python ints (int64 where :func:`_batches` proves they fit). One
+above 2**127 - 1 raises :class:`CountOverflowError`; callers catch it to go on.
 
 The decomposition DP has one output: the counts of a connected rooted pattern
 P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
@@ -12,13 +13,12 @@ them. Such counts are local: a vertex's count in G1 ⊔ … ⊔ Gm is its count 
 its own graph (Lovász, *Large networks and graph limits*, 2012), so
 :func:`hom_vectors` runs each basis pattern of a count plan once per batch of
 graphs (consecutive in input order) and splits the result per graph. Tables
-take one of two representations: dicts of Python ints, each value checked
-against the ceiling, one graph at a time, or int64 numpy key/count arrays
-(:mod:`homcount.dp_arrays`) over a whole batch. :func:`_batches` splits the
-graphs and picks the kernel per batch and basis pattern, and its docstring
-gives the rules; a single call is a batch of one graph. ``dp_arrays``, and
-numpy with it, is imported only when the arrays are used. Both kernels return
-Python ints.
+take one of two representations: dicts of Python ints, one graph at a time,
+or int64 numpy key/count arrays (:mod:`homcount.dp_arrays`) over a whole
+batch. :func:`_batches` splits the graphs and picks the kernel per batch and
+basis pattern, and its docstring gives the rules; a single call is a batch of
+one graph. ``dp_arrays``, and numpy with it, is imported only when the arrays
+are used. Both kernels return Python ints, and neither raises.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from math import prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -162,7 +163,7 @@ def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
 
 
 def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
-    """The DP on dicts of Python ints, checked against the 2**127-1 ceiling."""
+    """The DP on dicts of Python ints, unchecked: callers check what they return."""
     steps = plan.steps
     n = g.n
     pows = [n**j for j in range(plan.largest_bag + 1)]
@@ -197,10 +198,11 @@ def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
             p = pows[step.pos]
             pn = p * n
             new = {}
+            # unchecked here and at joins: an entry counts partial maps, at most
+            # n * Δ**(k-1) with k <= 14 pattern vertices, so a few hundred bits
             for key, cnt in child.items():  # type: ignore[union-attr]
                 nk = key % p + key // pn * p
-                got = new.get(nk, 0)
-                new[nk] = _check(got + cnt)
+                new[nk] = new.get(nk, 0) + cnt
             tables[i] = new
         else:
             a, b = step.children
@@ -212,7 +214,7 @@ def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
             for key, cnt in ta.items():  # type: ignore[union-attr]
                 other = tb.get(key)  # type: ignore[union-attr]
                 if other is not None:
-                    new[key] = _check(cnt * other)
+                    new[key] = cnt * other
             tables[i] = new
     anchor_counts = [0] * n
     for key, cnt in tables[-1].items():  # type: ignore[union-attr]
@@ -226,20 +228,16 @@ def hom_count_dp(pattern: PatternLike, g: Graph) -> Union[tuple[int, ...], int]:
     A rooted pattern gives its count at every anchor of ``g`` in one pass. A
     plain graph gives the unrooted scalar: the product over its components,
     each rooted at its first vertex, of their anchor sums (Lovász, *Large
-    networks and graph limits*, 2012); the empty pattern counts 1. Anchor sums
-    and products are checked against the 2**127-1 ceiling. Bit-identical to
-    :func:`hom_count_brute` on every input; the pattern, or its components,
-    are one batch of :func:`_batches`, which picks their kernel.
+    networks and graph limits*, 2012); the empty pattern counts 1. Only what
+    it returns is checked against the ceiling, a rooted tuple by its anchor sum.
+    Bit-identical to :func:`hom_count_brute` on every input; the pattern, or
+    its components, are one batch of :func:`_batches`, which picks their kernel.
     """
     rooted = isinstance(pattern, RootedPattern)
     parts = [pattern] if rooted else [RootedPattern(pattern.induced_subgraph(comp), 0)
                                       for comp in connected_components(pattern)]
     (counts,) = _basis_counts(parts, [g])
-    if isinstance(counts, CountOverflowError):
-        raise counts
-    total = 1
-    for c in counts:
-        total = _check(total * sum(c))
+    total = _check(prod(map(sum, counts)))  # a rooted pattern's one part: its anchor sum
     return counts[0] if rooted else total
 
 
@@ -274,14 +272,16 @@ def count_plan(patterns: tuple[RootedPattern, ...], mode: str) -> CountPlan:
 
 
 def _combine(terms, divisor: int) -> tuple[int, ...]:
-    """The weighted sum of basis count tuples, checked against the ceiling,
-    then divided exactly; a unit term returns its basis tuple as is."""
+    """The weighted sum of basis count tuples, divided exactly; a unit term
+    returns its basis tuple as is. The one check of :func:`hom_vectors`: each
+    tuple's anchor sum, before the division, against the ceiling."""
     (first, weight), *rest = terms
     if not rest and weight == 1 and divisor == 1:
+        _check(sum(first))
         return first
     weights = [w for _, w in terms]
     counts = [sum(map(mul, weights, column)) for column in zip(*(vec for vec, _ in terms))]
-    _check(max(counts, default=0))
+    _check(sum(counts))
     if min(counts, default=0) < 0 or divisor > 1 and any(c % divisor for c in counts):
         raise AssertionError(f"inj counts negative or not divisible by {divisor}")
     return tuple(c // divisor for c in counts) if divisor > 1 else tuple(counts)
@@ -367,21 +367,10 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
         yield flagged(batch, size, delta)
 
 
-def _dict_counts(plan: _DpPlan, g: Graph):
-    """:func:`_run_dp_dict` with its anchor sum checked against the ceiling,
-    or the CountOverflowError either raised."""
-    try:
-        counts = _run_dp_dict(plan, g)
-        _check(sum(counts))
-    except CountOverflowError as exc:
-        return exc
-    return counts
-
-
 def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
-    """For each graph, in order, every basis pattern's per-anchor counts, or
-    the CountOverflowError of the first that failed: each pattern runs once
-    per batch of :func:`_batches`, on the kernel it picked."""
+    """For each graph, in order, every basis pattern's per-anchor counts,
+    unchecked: each pattern runs once per batch of :func:`_batches`, on the
+    kernel it picked."""
     for batch, arrays in _batches(basis, graphs):
         if any(arrays):
             from homcount import dp_arrays  # loads numpy
@@ -389,12 +378,11 @@ def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
             blocks = dp_arrays.Blocks(batch)
         runs = [
             dp_arrays.run_dp(_dp_plan(q), blocks) if on_arrays
-            else [_dict_counts(_dp_plan(q), g) for g in batch]
+            else [_run_dp_dict(_dp_plan(q), g) for g in batch]
             for q, on_arrays in zip(basis, arrays)
         ]
         for j in range(len(batch)):
-            counts = [run[j] for run in runs]
-            yield next((c for c in counts if isinstance(c, CountOverflowError)), counts)
+            yield [run[j] for run in runs]
 
 
 def hom_vectors(
@@ -402,14 +390,11 @@ def hom_vectors(
 ) -> list[Union[list[tuple[int, ...]], CountOverflowError]]:
     """For each graph, in order, each pattern's per-anchor counts in pattern
     order, in ``mode`` hom, inj or sub, or the CountOverflowError raised when
-    a count it forms exceeds the ceiling: the patterns' :func:`count_plan`
+    a count it returns exceeds the ceiling: the patterns' :func:`count_plan`
     combines the counts of its basis patterns (:func:`_basis_counts`)."""
     plan = count_plan(tuple(patterns), mode)
     out: list = []
     for counts in _basis_counts(plan.basis, graphs):
-        if isinstance(counts, CountOverflowError):
-            out.append(counts)
-            continue
         try:
             out.append([
                 _combine([(counts[i], w) for i, w in row], divisor)
@@ -425,7 +410,7 @@ def hom_vector(
 ) -> list[tuple[int, ...]]:
     """Each pattern's per-anchor counts on g, in pattern order, in ``mode``
     hom, inj or sub: :func:`hom_vectors` on the one graph. Raises
-    CountOverflowError if any count it forms exceeds the ceiling."""
+    CountOverflowError if any count it returns exceeds the ceiling."""
     (vecs,) = hom_vectors(patterns, [g], mode)
     if isinstance(vecs, CountOverflowError):
         raise vecs

@@ -94,6 +94,7 @@ class FeatureTable:
     rows: list[tuple]  # (graph_id, vertex_id, external_label, counts tuple | None)
     transforms: Optional[list[ColumnTransform]] = None
     overflowed_graphs: list[str] = field(default_factory=list)
+    stats_overflowed_graphs: list[str] = field(default_factory=list)  # left out of the stats
 
     @property
     def column_names(self) -> list[str]:
@@ -192,7 +193,8 @@ def compute_features(
         if stats_graphs is None:
             stat_rows = rows
         else:
-            stat_rows, _ = _all_count_rows(list(stats_graphs), list(patterns), mode, threads)
+            stat_rows, table.stats_overflowed_graphs = _all_count_rows(
+                list(stats_graphs), list(patterns), mode, threads)
         stats = _column_stats(stat_rows, len(patterns))
         columns = zip(*(counts for _, _, _, counts in rows if counts is not None))
         largest = [max(column) for column in columns] or [0] * len(patterns)

@@ -10,8 +10,8 @@ satisfy
 
 which the evaluator applies bottom-up, over each graph's attachment counts
 computed once through the count plan (:func:`homcount.counting.hom_vector`).
-Like every rooted count, a tree's counts are a tuple of ints, one per anchor;
-each product and their sum are checked against the 2**127-1 ceiling.
+Returned counts are checked; intermediate values are exact Python ints: a
+tree's counts, one int per anchor, are checked once, by their anchor sum.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def hom_pattern_tree(
     tree: PatternTree, g: Graph, attachments: Optional[Sequence[Sequence[int]]] = None
 ) -> tuple[int, ...]:
     """Per-anchor counts by the bottom-up recursion; equals brute counting of
-    the flattened pattern at every vertex. Their sum, the count of the
-    unrooted flattened tree, is checked against the ceiling too.
+    the flattened pattern at every vertex. Only what it returns is checked:
+    their sum, the count of the unrooted flattened tree, against the ceiling.
 
     ``attachments`` holds each of the tree's patterns' per-anchor counts on g
     (default: :func:`homcount.counting.hom_vector`); pass them to count
@@ -148,12 +148,12 @@ def hom_pattern_tree(
             if mult:
                 for v in range(n):
                     if base[v]:
-                        base[v] = _check(base[v] * counts[v] ** mult)
+                        base[v] *= counts[v] ** mult
         for c in kids[s]:
             child = val.pop(c)
             for v in range(n):
                 if base[v]:
-                    base[v] = _check(base[v] * sum(child[u] for u in adjacency[v]))
+                    base[v] *= sum(child[u] for u in adjacency[v])
         val[s] = base
     _check(sum(val[0]))
     return tuple(val[0])
@@ -323,8 +323,8 @@ def tree_equivalence_report(
     among those no deeper than the round that split the pair: the graph-level
     counts, or, if ``vertex_pair`` is given, the counts rooted at that pair.
 
-    ``trees`` short-circuits enumeration with a pre-built stream (it must come
-    from the same pattern list).
+    ``trees`` short-circuits enumeration with a pre-built stream; a tree
+    built over another pattern list raises ValueError.
     """
     for v, grf in zip(vertex_pair or (), (g, h)):
         if not 0 <= v < grf.n:
@@ -334,6 +334,8 @@ def tree_equivalence_report(
         trees, truncated = enumerate_pattern_trees(patterns, budget, alphabet)
     else:
         trees, truncated = list(trees), False
+        if any(tree.patterns != tuple(patterns) for tree in trees):
+            raise ValueError("a supplied tree was built over another pattern list")
     rounds = budget.depth
     attach_g, attach_h = hom_vector(patterns, g), hom_vector(patterns, h)
     col_g, col_h = wl_refine(

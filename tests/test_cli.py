@@ -347,6 +347,20 @@ class TestOverflow:
         assert len(rows) == 6 and all(r.endswith(",NA") for r in rows)
         assert err.startswith("error: overflow: graph g1") and err.count("\n") == 1
 
+    def test_stats_overflow_reported(self, capsys, tmp_path, fixture_files, k3_file):
+        # h1 has no triangle, so its export fits; both statistics graphs
+        # overflow and are left out of the statistics, each with one line
+        k5 = json.dumps({"id": "k5", "n": 5,
+                         "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]})
+        stats = write(tmp_path / "stats.jsonl", open(fixture_files[0]).read() + k5 + "\n")
+        code, out, err = run(capsys, "features", fixture_files[1], "--patterns", k3_file,
+                             "--normalize", "log-z", "--stats-from", stats)
+        assert code == 0
+        assert "# column hom_K3: mean=0.0 std=0.0 constant=true\n" in out
+        assert err == "".join(
+            f"error: overflow: stats graph {gid} exceeded the count limit; "
+            "left out of the statistics\n" for gid in ("g1", "k5"))
+
 
 class TestMalformedPatterns:
     """A pattern file whose record is not a JSON object, or that is not JSON,
@@ -495,7 +509,31 @@ class TestWitness:
         assert "witness" not in report
 
 
+def star_files(tmp_path, b_leaf):
+    """A 3001-vertex star labelled ``a``, and K1,12 rooted at its centre with
+    leaf ``b_leaf`` labelled ``b``: every count is 0, though partial counts
+    of the other leaves reach 3000**11 > 2**127 - 1 on the way."""
+    star = json.dumps({"id": "star", "n": 3001, "labels": ["a"] * 3001,
+                       "edges": [[0, v] for v in range(1, 3001)]})
+    pattern = json.dumps([{"id": "K1,12", "n": 13, "root": 0,
+                           "labels": ["b" if v == b_leaf else "a" for v in range(13)],
+                           "edges": [[0, v] for v in range(1, 13)]}])
+    return write(tmp_path / "star.jsonl", star + "\n"), write(tmp_path / "k1_12.json", pattern)
+
+
 class TestCount:
+    def test_star_with_a_b_leaf_counts_zero(self, capsys, tmp_path):
+        graph, pattern = star_files(tmp_path, b_leaf=1)
+        for extra in (["--anchor", "0"], [], ["--engine", "brute", "--anchor", "0"]):
+            code, out, err = run(capsys, "count", "--pattern", pattern, "--graph", graph, *extra)
+            assert code == 0 and err == ""
+            result = json.loads(out)
+            assert result.get("count", 0) == result.get("total", 0) == 0
+        code, out, err = run(capsys, "features", graph, "--patterns", pattern)
+        assert code == 0 and err == ""
+        rows = out.splitlines()[3:]
+        assert len(rows) == 3001 and all(row.endswith(",a,0") for row in rows)
+
     def test_dp_counts(self, capsys, fixture_files, k3_file):
         a, _ = fixture_files
         code, out, _ = run(capsys, "count", "--pattern", k3_file, "--graph", a)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homcount.counting as counting
@@ -412,39 +412,41 @@ class TestCountPlan:
         assert all(calls.count(g.id) == per_graph for g in graphs)
 
     def test_basis_overflow_flags_its_graph_only(self, monkeypatch):
-        # any overflowing basis count fails the graph's whole hom_vector; the
-        # feature export flags that graph's rows NA and keeps the other's
+        # an overflowing basis count alone no longer fails a graph; only an
+        # overflowing returned count does. Scaling the bad graph's basis
+        # counts by MAX_COUNT scales every count formed from them, so any
+        # anchor sum of 2 or more passes the ceiling, and the whole
+        # hom_vector fails; the export flags that graph's rows NA and keeps
+        # the other's
         from homcount.pipeline import compute_features
 
         pats = bench_patterns()
-        plan = counting.count_plan(tuple(pats), "sub")
         rng = random.Random(61)
         g, other = (random_graph(rng, 7, 0.5, labels=2, gid=gid) for gid in ("bad", "ok"))
         clean = compute_features([other], pats, mode="sub").rows
         real = counting._run_dp_dict
-        for bad in plan.basis:
-            def explode(dp_plan, graph):
-                if dp_plan == _dp_plan(bad) and graph.id == "bad":
-                    raise CountOverflowError("synthetic")
-                return real(dp_plan, graph)
 
-            monkeypatch.setattr(counting, "_run_dp_dict", explode)
-            with pytest.raises(CountOverflowError):
-                hom_vector(pats, g, "sub")
-            table = compute_features([g, other], pats, mode="sub")
-            assert table.overflowed_graphs == ["bad"]
-            assert table.rows[:g.n] == [("bad", v, g.labels[v], None) for v in range(g.n)]
-            assert table.rows[g.n:] == clean
+        def scaled(dp_plan, graph):
+            counts = real(dp_plan, graph)
+            return tuple(c * MAX_COUNT for c in counts) if graph.id == "bad" else counts
+
+        monkeypatch.setattr(counting, "_run_dp_dict", scaled)
+        with pytest.raises(CountOverflowError):
+            hom_vector(pats, g, "sub")
+        table = compute_features([g, other], pats, mode="sub")
+        assert table.overflowed_graphs == ["bad"]
+        assert table.rows[:g.n] == [("bad", v, g.labels[v], None) for v in range(g.n)]
+        assert table.rows[g.n:] == clean
 
     def test_combined_count_checked_before_division(self, monkeypatch):
         # each basis count fits, but C4's injective sum (its hom count, minus
         # those of its two rooted P3 quotients, plus that of K2) is
-        # MAX_COUNT + 1, which divided by its 2 automorphisms would fit; here
-        # the anchor sum of C4's hom counts fails first
+        # MAX_COUNT + 1 at anchor 0 and 0 elsewhere, which divided by its 2
+        # automorphisms would fit
         def huge(plan, g):
             vertices = 1 + sum(step.kind == "forget" for step in plan.steps)
             c = {4: MAX_COUNT, 2: 1}.get(vertices, 0)
-            return (c,) * g.n
+            return (c,) + (0,) * (g.n - 1)
 
         monkeypatch.setattr(counting, "_run_dp_dict", huge)
         c4 = cycle(4, root=0)
@@ -506,10 +508,12 @@ class TestVectorAndMatrix:
     def test_overflow_raised_to_the_caller(self, monkeypatch):
         from homcount.pipeline import compute_features
 
-        def explode(plan, g):
-            raise CountOverflowError("synthetic")
+        real = counting._run_dp_dict
 
-        monkeypatch.setattr(counting, "_run_dp_dict", explode)
+        def scaled(plan, g):  # every count K3 returns on g1 is then over the ceiling
+            return tuple(c * MAX_COUNT for c in real(plan, g))
+
+        monkeypatch.setattr(counting, "_run_dp_dict", scaled)
         k3 = clique(3, root=0)
         for mode in ("hom", "inj", "sub"):
             with pytest.raises(CountOverflowError):
@@ -554,6 +558,92 @@ class TestCountingProperties:
         p = cycle(4, root=0)
         total = hom_count_dp(cycle(4), g)
         assert total == sum(hom_count_brute(p, g, v) for v in range(g.n))
+
+
+def checks_what_it_returns(count, expected, returned):
+    """``count()`` gives ``expected`` under a ceiling of ``returned``, the
+    value it must check, and raises CountOverflowError under one just below."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(counting, "MAX_COUNT", returned)
+        assert count() == expected
+        if returned:
+            m.setattr(counting, "MAX_COUNT", returned - 1)
+            with pytest.raises(CountOverflowError):
+                count()
+
+
+@st.composite
+def connected_graphs(draw, max_n):
+    k = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, k)]
+    extra = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=3))
+    labs = [draw(st.sampled_from((0, 0, 0, 1))) for _ in range(k)]
+    return build(k, sorted({(min(e), max(e)) for e in tree + extra}), labels=labs, gid="pat")
+
+
+@st.composite
+def rooted_patterns(draw):
+    """A rooted pattern on at most 5 vertices and a permutation of them."""
+    pg = draw(connected_graphs(5))
+    root = draw(st.integers(min_value=0, max_value=pg.n - 1))
+    return RootedPattern(pg, root), draw(st.permutations(range(pg.n)))
+
+
+@st.composite
+def plain_patterns(draw):
+    """A plain pattern of 1 to 3 components, 5 vertices in all at most, and a
+    permutation of its vertices."""
+    edges, labs = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if len(labs) < 5:
+            part = draw(connected_graphs(5 - len(labs)))
+            edges += [(u + len(labs), v + len(labs)) for u, v in part.edges]
+            labs += part.labels
+    perm = draw(st.permutations(range(len(labs))))
+    return build(len(labs), edges, labels=labs, gid="plain"), perm
+
+
+STAR6 = build(7, [(0, v) for v in range(1, 7)], gid="k1_6")
+
+
+def labelled_star(leaves, b_leaf):
+    """K1,leaves rooted at its centre, every vertex labelled 0 but ``b_leaf``."""
+    labs = [int(v == b_leaf) for v in range(leaves + 1)]
+    return RootedPattern(build(leaves + 1, [(0, v) for v in range(1, leaves + 1)], labs), 0)
+
+
+class TestCheckedReturns:
+    """A function checks the counts it returns, and nothing else: the answer
+    does not depend on the order the DP forms it in."""
+
+    # the other leaves' partial count 6**3 is positive before the b leaf zeroes it
+    @example(STAR6, (labelled_star(4, b_leaf=1), [0, 1, 2, 3, 4]))
+    @given(graphs_strategy(), rooted_patterns())
+    @settings(max_examples=60, deadline=None)
+    def test_rooted_dp_raises_exactly_when_its_anchor_sum_does(self, g, drawn):
+        pattern, perm = drawn
+        relabelled = RootedPattern(pattern.graph.relabeled(perm), perm[pattern.root])
+        for p in (pattern, relabelled):
+            counts = tuple(hom_count_brute(p, g, v) for v in range(g.n))
+            checks_what_it_returns(lambda: hom_count_dp(p, g), counts, sum(counts))
+
+    # P4 counts 72 on K1,6, and the isolated label-1 vertex 0
+    @example(STAR6, (build(5, [(0, 1), (1, 2), (2, 3)], labels=[0, 0, 0, 0, 1]), range(5)))
+    @given(graphs_strategy(), plain_patterns())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_dp_raises_exactly_when_its_product_does(self, g, drawn):
+        pattern, perm = drawn
+        for p in (pattern, pattern.relabeled(list(perm))):
+            total = hom_count_brute(p, g)
+            checks_what_it_returns(lambda: hom_count_dp(p, g), total, total)
+
+    @pytest.mark.parametrize("b_leaf", range(1, 13))
+    def test_star_with_a_b_leaf_counts_zero(self, b_leaf):
+        # partial counts of the label-0 leaves reach 3000**11 > 2**127 - 1
+        # at the centre, unless the b leaf zeroes them first
+        star = build(3001, [(0, v) for v in range(1, 3001)], gid="star")
+        assert hom_count_dp(labelled_star(12, b_leaf), star) == (0,) * 3001
 
 
 # --- the int64 array kernel and the dispatch between the two kernels -----------

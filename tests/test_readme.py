@@ -7,9 +7,11 @@ import re
 from math import isqrt
 from pathlib import Path
 
+from homcount.algebra import SPASM_GUARD, TREEWIDTH_GUARD
 from homcount.cli import main
 from homcount.counting import ARRAY_MIN_ENTRIES, DENSE_LIMIT
 from homcount.families import wl_equivalent_triangle_pair
+from homcount.refinement import KWL_ENTRY_GUARD
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -48,3 +50,12 @@ def test_kernel_limits_match_the_code():
     assert int(re.search(r"within 2\^(\d+) entries", text).group(1)) == DENSE_LIMIT.bit_length() - 1
     assert int(re.search(r"about (\d+)k entries", text).group(1)) == round(ARRAY_MIN_ENTRIES / 1000)
     assert int(re.search(r"at most (\d+) vertices", text).group(1)) == isqrt(DENSE_LIMIT)
+
+
+def test_guard_numbers_match_the_code():
+    # the "## Guards" section's limits are the constants that enforce them
+    text = " ".join(README.split("## Guards", 1)[1].split())
+    assert int(re.search(r"patterns up to (\d+) vertices", text).group(1)) == TREEWIDTH_GUARD
+    assert int(re.search(r"machinery up to (\d+)", text).group(1)) == SPASM_GUARD
+    digits, power = re.search(r"at (\d+)·10\^(\d+)", text).groups()
+    assert int(digits) * 10 ** int(power) == KWL_ENTRY_GUARD

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homcount import counting, trees as tree_module
 from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
@@ -16,6 +18,7 @@ from homcount.trees import (
     hom_pattern_tree,
     tree_equivalence_report,
 )
+from test_counting import checks_what_it_returns, graphs_strategy
 
 G2 = Graph("g2", 9, (0,) * 9,
            normalize_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 5), (3, 4), (3, 6),
@@ -47,6 +50,26 @@ def bare_tree(parent, patterns=(), labels=None):
     labels = tuple(labels or [0] * t)
     empty = tuple([(0,) * len(patterns)] * t)
     return PatternTree(tuple(parent), labels, empty, tuple(patterns))
+
+
+L1 = RootedPattern(build(2, [(0, 1)], gid="l1"), 0)
+L1B = RootedPattern(build(2, [(0, 1)], labels=[1, 0], gid="l1b"), 0)
+TREE_PATTERNS = (K3, L1, L1B)
+
+
+@st.composite
+def pattern_trees(draw):
+    """A tree of at most 3 backbone vertices labelled 0 or 1, with at most 2
+    attachments of K3 or L1 (rooted at label 0 or 1) in all."""
+    t = draw(st.integers(min_value=1, max_value=3))
+    parent = (-1,) + tuple(draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, t))
+    labels = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(t))
+    attach = [[0] * len(TREE_PATTERNS) for _ in range(t)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        v = draw(st.integers(min_value=0, max_value=t - 1))
+        fits = [i for i, p in enumerate(TREE_PATTERNS) if p.root_label == labels[v]]
+        attach[v][draw(st.sampled_from(fits))] += 1
+    return PatternTree(parent, labels, tuple(map(tuple, attach)), TREE_PATTERNS)
 
 
 class TestFlatten:
@@ -113,6 +136,18 @@ class TestRecursion:
             got = hom_pattern_tree(tree, g)
             want = tuple(hom_count_brute(flat, g, v) for v in range(6))
             assert got == want
+
+    # on K1,4, L1 attached twice counts 16 at the centre before the child's K3 zeroes it
+    @example(build(5, [(0, v) for v in range(1, 5)], gid="k1_4"),
+             PatternTree((-1, 0), (0, 0), ((0, 2, 0), (1, 0, 0)), TREE_PATTERNS))
+    @given(graphs_strategy(), pattern_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_raises_exactly_when_its_anchor_sum_does(self, g, tree):
+        # the attachment counts come in at the real ceiling: only the
+        # recursion's own check is under test
+        attachments = hom_vector(tree.patterns, g)
+        want = tuple(hom_count_brute(flatten(tree), g, v) for v in range(g.n))
+        checks_what_it_returns(lambda: hom_pattern_tree(tree, g, attachments), want, sum(want))
 
     def test_attachments_must_cover_every_pattern(self):
         tree = PatternTree((-1, 0), (0, 0), ((1, 0), (0, 1)), (K3, cycle(4)))
@@ -312,6 +347,15 @@ class TestHarness:
         assert report.witness is not None
         assert report.witness.kind == "graph"
         assert report.witness.count_g != report.witness.count_h
+
+    def test_trees_over_another_pattern_list_rejected(self):
+        # trees attaching C4 must not be counted from K3's attachment counts
+        budget = EnumerationBudget(depth=1)
+        trees, _ = enumerate_pattern_trees([cycle(4)], budget)
+        with pytest.raises(ValueError):
+            tree_equivalence_report(G2, H2, [K3], budget=budget, trees=trees)
+        report = tree_equivalence_report(G2, H2, [cycle(4)], budget=budget, trees=trees)
+        assert report.trees_enumerated == len(trees)
 
     def test_same_graph_no_search(self):
         report = tree_equivalence_report(G2, G2, [K3], budget=EnumerationBudget(depth=2))
