@@ -107,10 +107,6 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
-    @property
-    def root_index(self) -> int:
-        return len(self.nodes) - 1
-
 
 # --- join ------------------------------------------------------------------
 

@@ -17,12 +17,13 @@ tree's counts, one int per anchor, are checked once, by their anchor sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from homcount.counting import _check, hom_vector
+from homcount.counting import _basis_counts, _check, count_plan, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, normalize_edges
+from homcount.graphs import is_connected, is_isomorphic
 from homcount.refinement import Verdict, graph_verdict, wl_refine
 
 
@@ -133,11 +134,12 @@ def hom_pattern_tree(
     their sum, the count of the unrooted flattened tree, against the ceiling.
 
     ``attachments`` holds each of the tree's patterns' per-anchor counts on g
-    (default: :func:`homcount.counting.hom_vector`); pass them to count
-    many trees over one pattern list on one graph.
+    (default: their basis counts in the hom :func:`homcount.counting.count_plan`,
+    unchecked); pass them to count many trees over one pattern list on one graph.
     """
     if attachments is None:
-        attachments = hom_vector(tree.patterns, g)
+        plan = count_plan(tree.patterns, "hom")  # one graph: one row of basis counts
+        attachments = [row[i] for row in _basis_counts(plan.basis, [g]) for ((i, _),) in plan.terms]
     n = g.n
     adjacency = g.adjacency
     kids = tree.children()
@@ -165,7 +167,7 @@ def hom_pattern_tree(
 def _backbone_shapes(max_vertices: int, max_depth: int):
     """Rooted trees as parent arrays (``parent[v] < v``) of depth at most
     ``max_depth``, by size, then lexicographically; duplicates up to
-    isomorphism are fine, the caller dedups by structural key, then by code.
+    isomorphism are fine, :func:`_tree_classes` dedups them.
     Prefixes deeper than ``max_depth`` are cut, so the work follows the shapes kept."""
 
     def grow(parent: tuple[int, ...], depth: tuple[int, ...], t: int):
@@ -200,19 +202,41 @@ def _structure_key(parent, labels, assignment):
     return labels[0], assignment[0], tuple(sorted(kids[0]))
 
 
-def enumerate_pattern_trees(
-    patterns: Sequence[RootedPattern],
-    budget: EnumerationBudget,
-    alphabet: Sequence[int] = (0,),
+def _key_is_complete(patterns: Sequence[RootedPattern]) -> bool:
+    """Whether equal flattened codes imply equal structural keys: every pattern
+    has edges, none a bridge, a root that is no cut vertex, and no two patterns
+    are rooted-isomorphic. Proof: then the flattened form's bridges are its
+    backbone edges (a copy's edges lie on its cycles), and at a backbone vertex
+    v, each copy less v is one component of the bridgeless part less v. So an
+    isomorphism of flattened forms maps backbone onto backbone and copies at v
+    onto copies, at v's image, of the same pattern: vectors and keys agree."""
+    for p in patterns:
+        g, rest = p.graph, [v for v in range(p.graph.n) if v != p.root]
+        dropped = [Graph(g.id, g.n, g.labels, tuple(x for x in g.edges if x != e)) for e in g.edges]
+        if not dropped or not all(map(is_connected, [g.induced_subgraph(rest), *dropped])):
+            return False
+    return not any(is_isomorphic(p.graph, q.graph, p.root, q.root)
+                   for p, q in combinations(patterns, 2))
+
+
+def _flat_code(tree: PatternTree) -> bytes:
+    return canonical_code(flatten(tree).graph, 0)
+
+
+def _flat_size(tree: PatternTree) -> int:  # flatten(tree)'s vertex count
+    return tree.size + sum(m * (p.graph.n - 1) for s in tree.attachments
+                           for p, m in zip(tree.patterns, s))
+
+
+def _tree_classes(
+    patterns: Sequence[RootedPattern], budget: EnumerationBudget, alphabet: Sequence[int]
 ) -> tuple[list[PatternTree], bool]:
-    """Every tree within budget, exactly once up to isomorphism of its
-    flattened form, sorted by that form's canonical code.
+    """One tree per isomorphism class of flattened forms, the first generated,
+    in generation order, and whether the hard cap cut the stream short.
 
-    A candidate whose structural key an earlier one had is skipped unflattened;
-    the canonical code merges what the key splits (say, an attached L2).
-
-    Returns (trees, truncated); ``truncated`` reports that the hard cap cut
-    the stream short.
+    Candidates are deduped by structural key, unflattened, and unless
+    :func:`_key_is_complete`, by flattened code, which merges what keys split
+    (say, an attached L2). Past ``budget.max_trees``, the greatest code is cut.
     """
     patterns = tuple(patterns)
     vectors = list(_multiplicity_vectors(len(patterns), budget.multiplicity))
@@ -227,21 +251,32 @@ def enumerate_pattern_trees(
         for labels in product(alphabet, repeat=len(parent))
         for assignment in product(*(options[label] for label in labels))
     )
+    complete = _key_is_complete(patterns)
     shapes: set = set()
-    seen: dict[bytes, PatternTree] = {}
+    kept: dict = {}  # the class's code, or its key where keys are complete -> tree
     for parent, labels, assignment in candidates:
         key = _structure_key(parent, labels, assignment)
         if key in shapes:
             continue
         shapes.add(key)
         tree = PatternTree(parent, labels, assignment, patterns)
-        code = canonical_code(flatten(tree).graph, 0)
-        if code not in seen:
-            seen[code] = tree
-            if len(seen) > budget.max_trees:
-                break
-    ordered = [seen[c] for c in sorted(seen)]
-    return ordered[: budget.max_trees], len(seen) > budget.max_trees
+        kept.setdefault(key if complete else _flat_code(tree), tree)
+        if len(kept) > budget.max_trees:
+            del kept[max(kept, key=lambda k: _flat_code(kept[k]))]
+            return list(kept.values()), True
+    return list(kept.values()), False
+
+
+def enumerate_pattern_trees(
+    patterns: Sequence[RootedPattern], budget: EnumerationBudget, alphabet: Sequence[int] = (0,)
+) -> tuple[list[PatternTree], bool]:
+    """Every tree within budget, once up to isomorphism of its flattened form,
+    sorted by that form's canonical code: the trees of :func:`_tree_classes`,
+    which codes only to dedup incomplete keys and to cut a truncated stream,
+    each coded once more to sort. Returns (trees, truncated); ``truncated``
+    reports that the hard cap cut the stream short."""
+    trees, truncated = _tree_classes(patterns, budget, alphabet)
+    return sorted(trees, key=_flat_code), truncated
 
 
 # --- equivalence harness ---------------------------------------------------------
@@ -318,10 +353,13 @@ def tree_equivalence_report(
     every tree is evaluated from.
 
     Forward: vertices sharing a color at round d must agree on all enumerated
-    trees of depth <= d (a violation is a correctness bug). Witness: when the
-    pair is distinguished, the first tree in the stream whose counts differ,
-    among those no deeper than the round that split the pair: the graph-level
-    counts, or, if ``vertex_pair`` is given, the counts rooted at that pair.
+    trees of depth <= d (a violation is a correctness bug; violations come by
+    round, flattened code and color). Witness: when the pair is distinguished,
+    the differing tree whose flattened form has the least canonical code, among
+    those no deeper than the round that split the pair: the graph-level counts,
+    or, if ``vertex_pair`` is given, the counts rooted at that pair. So codes
+    are computed only for :func:`_tree_classes`' incomplete keys and truncation
+    cut, for violations, and for the differing trees of least flattened size.
 
     ``trees`` short-circuits enumeration with a pre-built stream; a tree
     built over another pattern list raises ValueError.
@@ -331,7 +369,7 @@ def tree_equivalence_report(
             raise ValueError(f"vertex {v} out of range for graph {grf.id} with {grf.n} vertices")
     if trees is None:
         alphabet = sorted(set(g.labels) | set(h.labels))
-        trees, truncated = enumerate_pattern_trees(patterns, budget, alphabet)
+        trees, truncated = _tree_classes(patterns, budget, alphabet)
     else:
         trees, truncated = list(trees), False
         if any(tree.patterns != tuple(patterns) for tree in trees):
@@ -347,7 +385,7 @@ def tree_equivalence_report(
         for tree in trees
     ]
 
-    violations: list[str] = []
+    violations: list[tuple[int, PatternTree, str]] = []
     checked = 0
     for d in range(rounds + 1):
         classes: dict[int, list[tuple[int, int]]] = {}
@@ -362,10 +400,9 @@ def tree_equivalence_report(
             for color, members in classes.items():
                 vals = {(cg if side == 0 else ch)[v] for side, v in members}
                 if len(vals) > 1:
-                    violations.append(
-                        f"round {d} color {color}: counts {sorted(vals)} "
-                        f"for tree {tree.signature()}"
-                    )
+                    violations.append((d, tree, f"round {d} color {color}: counts "
+                                       f"{sorted(vals)} for tree {tree.signature()}"))
+    violations.sort(key=lambda x: (x[0], _flat_code(x[1])))  # stable: colors stay in order
 
     if vertex_pair is None:
         kind, limit, count_g, count_h = "graph", verdict.at_round, sum, sum
@@ -378,9 +415,12 @@ def tree_equivalence_report(
         )
     witness = None
     if limit is not None:
-        found = ((tree, count_g(cg), count_h(ch)) for depth, tree, cg, ch in per_tree
-                 if depth <= limit)
-        witness = next((Witness(t, a, b, kind, vertex_pair) for t, a, b in found if a != b), None)
+        differ = [(_flat_size(t), t, count_g(cg), count_h(ch)) for depth, t, cg, ch in per_tree
+                  if depth <= limit and count_g(cg) != count_h(ch)]
+        if differ:  # a rooted code leads with the vertex count: code the smallest only
+            least = min(x[0] for x in differ)
+            _, t, a, b = min((x for x in differ if x[0] == least), key=lambda x: _flat_code(x[1]))
+            witness = Witness(t, a, b, kind, vertex_pair)
 
     return HarnessReport(
         verdict=verdict,
@@ -388,7 +428,7 @@ def tree_equivalence_report(
         trees_enumerated=len(trees),
         truncated=truncated,
         forward_checked=checked,
-        forward_violations=violations,
+        forward_violations=[line for *_, line in violations],
         witness=witness,
         witness_searched=limit is not None,
     )

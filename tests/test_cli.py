@@ -443,6 +443,25 @@ class TestWitness:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bdda2c77148da0615288835e07943074b3daab941a82bc72e14b7695df53097e")
 
+    # the bench's witness commands; fig2 {K3} at a vertex pair is pinned above
+    def test_fig2_c3c4_default_depth_bytes_pinned(self, capsys, fig2_files, c3c4_file):
+        code, out, _ = run(capsys, "witness", *fig2_files, "--patterns", c3c4_file)
+        assert code == 0
+        assert json.loads(out)["trees_enumerated"] == 2772
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "43f62829a2f968fe1adf6f954e8c6f0b6a4b124ec91d5784168f4d424035e725")
+
+    def test_fig1_same_id_bytes_pinned(self, capsys, tmp_path, fixture_files, k3_file):
+        paths = []
+        for i, path in enumerate(fixture_files):
+            with open(path, encoding="utf-8") as fh:
+                rec = json.load(fh)
+            paths.append(write(tmp_path / f"same{i}.jsonl", json.dumps(dict(rec, id="g")) + "\n"))
+        code, out, _ = run(capsys, "witness", *paths, "--patterns", k3_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2a63b1821e352f199e82dd0369006a30e939ecf0edcb4f707601ee119560304f")
+
     def test_fig2_truncated_bytes_pinned(self, capsys, fig2_files, c3c4_file):
         code, out, _ = run(capsys, "witness", *fig2_files, "--patterns", c3c4_file,
                            "--max-trees", "50")

@@ -9,7 +9,7 @@ from homcount import counting, trees as tree_module
 from homcount.counting import CountOverflowError, hom_count_brute, hom_vector
 from homcount import families
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
-from homcount.refinement import f_wl
+from homcount.refinement import Coloring, f_wl
 from homcount.trees import (
     EnumerationBudget,
     PatternTree,
@@ -149,6 +149,17 @@ class TestRecursion:
         want = tuple(hom_count_brute(flatten(tree), g, v) for v in range(g.n))
         checks_what_it_returns(lambda: hom_pattern_tree(tree, g, attachments), want, sum(want))
 
+    def test_default_attachments_unchecked(self, monkeypatch):
+        # on K1,6 L1's anchor sum is 12, over a ceiling of 11, but the child's
+        # K3 counts 0, so the tree counts 0 at every anchor, as brute force does
+        star = build(7, [(0, v) for v in range(1, 7)], gid="k1_6")
+        tree = PatternTree((-1, 0), (0, 0), ((0, 1, 0), (1, 0, 0)), TREE_PATTERNS)
+        attachments = hom_vector(tree.patterns, star)
+        monkeypatch.setattr(counting, "MAX_COUNT", 11)
+        assert hom_pattern_tree(tree, star) == (0,) * 7
+        assert hom_pattern_tree(tree, star, attachments) == (0,) * 7
+        assert all(hom_count_brute(flatten(tree), star, v) == 0 for v in range(7))
+
     def test_attachments_must_cover_every_pattern(self):
         tree = PatternTree((-1, 0), (0, 0), ((1, 0), (0, 1)), (K3, cycle(4)))
         attachments = hom_vector(tree.patterns, G2)
@@ -250,12 +261,12 @@ class TestEnumeration:
         assert with_attach[0].labels == (1,)
 
 
-def reference_enumeration(patterns, budget, alphabet=(0,)):
-    """The enumeration deduplicated by canonical code alone: every candidate
-    is flattened and coded, and the first of each code is kept."""
+def code_only_classes(patterns, budget, alphabet=(0,)):
+    """Every candidate flattened and coded, in generation order: the first of
+    each code, as (code, tree)."""
     patterns = tuple(patterns)
     vectors = list(tree_module._multiplicity_vectors(len(patterns), budget.multiplicity))
-    seen = {}
+    seen = set()
     for parent in tree_module._backbone_shapes(budget.backbone, budget.depth):
         for labels in itertools.product(alphabet, repeat=len(parent)):
             options = [[s for s in vectors
@@ -263,9 +274,19 @@ def reference_enumeration(patterns, budget, alphabet=(0,)):
                        for label in labels]
             for assignment in itertools.product(*options):
                 tree = PatternTree(parent, labels, assignment, patterns)
-                seen.setdefault(canonical_code(flatten(tree).graph, 0), tree)
-                if len(seen) > budget.max_trees:
-                    return [seen[c] for c in sorted(seen)][: budget.max_trees], True
+                code = canonical_code(flatten(tree).graph, 0)
+                if code not in seen:
+                    seen.add(code)
+                    yield code, tree
+
+
+def reference_enumeration(patterns, budget, alphabet=(0,)):
+    """The enumeration deduplicated by canonical code alone, sorted by code."""
+    seen = {}
+    for code, tree in code_only_classes(patterns, budget, alphabet):
+        seen[code] = tree
+        if len(seen) > budget.max_trees:
+            return [seen[c] for c in sorted(seen)][: budget.max_trees], True
     return [seen[c] for c in sorted(seen)], False
 
 
@@ -277,6 +298,24 @@ L2 = RootedPattern(build(2, [(0, 1)], gid="l2"), 0)
 K3_OTHER = RootedPattern(build(3, [(0, 1), (0, 2), (1, 2)], gid="k3b"), 2)
 VERTEX = RootedPattern(build(1, [], gid="v"), 0)
 K3_LABELED = RootedPattern(build(3, [(0, 1), (0, 2), (1, 2)], labels=[1, 0, 1], gid="k3l"), 0)
+DIAMOND = build(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], gid="diamond")
+BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], gid="bowtie")
+C3_LABELED = RootedPattern(build(3, [(0, 1), (1, 2), (0, 2)], labels=[1, 0, 0], gid="c3l"), 0)
+C4_LABELED = RootedPattern(
+    build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], labels=[0, 1, 0, 1], gid="c4l"), 0)
+# bridgeless patterns whose root is no cut vertex, pairwise not rooted-isomorphic
+KEYED = {
+    "c3": cycle(3), "c4": cycle(4), "c5": cycle(5), "k4": clique(4),
+    "diamond-side": RootedPattern(DIAMOND, 0), "diamond-middle": RootedPattern(DIAMOND, 1),
+    "bowtie-outer": RootedPattern(BOWTIE, 0), "c3-labeled": C3_LABELED,
+    "c4-labeled": C4_LABELED,
+}
+POOL = {**KEYED, "l2": L2, "vertex": VERTEX, "bowtie-centre": RootedPattern(BOWTIE, 2),
+        "k3": K3, "k3-other": K3_OTHER}
+UNKEYED = {  # each alone, or with its partner, defeats the structural key
+    "l2": ["l2"], "vertex": ["vertex"], "bowtie-centre": ["bowtie-centre"],
+    "k3-twice": ["k3", "k3-other"],
+}
 
 
 class TestStructuralPrefilter:
@@ -329,6 +368,35 @@ class TestStructuralPrefilter:
         calls, kept = self.count_codes(
             monkeypatch, [K3, K3_OTHER], EnumerationBudget(depth=1, backbone=3, multiplicity=1))
         assert calls > kept
+
+    @pytest.mark.parametrize("name", KEYED)
+    def test_key_complete(self, name):
+        assert tree_module._key_is_complete([KEYED[name]])
+
+    @pytest.mark.parametrize("name", UNKEYED)
+    def test_key_incomplete(self, name):
+        assert not tree_module._key_is_complete([POOL[p] for p in UNKEYED[name]])
+
+    @example(["l2", "k3"], 2, 2, (0,))  # L2 at a vertex is a backbone edge
+    @example(["k3", "k3-other"], 1, 2, (0,))  # K3 at two roots, one class
+    @example(["bowtie-centre", "k3"], 0, 2, (0,))  # the centre-rooted bowtie is K3 twice
+    @example(["vertex", "c3"], 2, 1, (0, 1))  # VERTEX attaches nothing
+    @example(["diamond-side", "diamond-middle"], 2, 2, (0, 1))
+    @given(st.lists(st.sampled_from(sorted(POOL)), min_size=0, max_size=2, unique=True),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2),
+           st.sampled_from([(0,), (0, 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_match_code_only_dedup(self, names, depth, multiplicity, alphabet):
+        if "bowtie-centre" in names and depth:
+            # two at each of several backbone vertices make every code take
+            # seconds: canonical_code prunes only twins, not swapped triangles
+            multiplicity = min(multiplicity, 1)
+        patterns = [POOL[name] for name in names]
+        budget = EnumerationBudget(depth=depth, backbone=3, multiplicity=multiplicity)
+        got, truncated = tree_module._tree_classes(patterns, budget, alphabet)
+        want = [tree for _, tree in code_only_classes(patterns, budget, alphabet)]
+        assert shape(got) == shape(want)
+        assert not truncated
 
 
 class TestHarness:
@@ -406,6 +474,70 @@ class TestHarness:
         assert wt.depth == 0
         flat = flatten(wt)
         assert is_isomorphic(flat.graph, cycle(4).graph)
+
+    def test_witness_and_violations_ignore_stream_order(self):
+        budget = EnumerationBudget(depth=2, backbone=3, multiplicity=2)
+        trees, _ = enumerate_pattern_trees([K3, cycle(4)], budget)
+        for pair in (None, (4, 4)):
+            want = tree_equivalence_report(G2, H2, [K3, cycle(4)], budget, pair).to_json()
+            for stream in (trees, trees[::-1]):
+                got = tree_equivalence_report(G2, H2, [K3, cycle(4)], budget, pair, trees=stream)
+                assert got.to_json() == want
+            assert want["witness"] is not None
+
+    def test_witness_is_least_code_differing_tree(self):
+        # the first differing tree of the code-sorted stream, as when the
+        # report walked that stream, also under a cap that truncates it
+        for max_trees in (20000, 30):
+            budget = EnumerationBudget(depth=2, backbone=3, multiplicity=2, max_trees=max_trees)
+            trees, truncated = enumerate_pattern_trees([K3], budget)
+            report = tree_equivalence_report(G2, H2, [K3], budget)
+            first = next(t for t in trees if t.depth <= report.verdict.at_round
+                         and sum(hom_pattern_tree(t, G2)) != sum(hom_pattern_tree(t, H2)))
+            assert report.witness.tree == first
+            assert report.truncated == truncated == (max_trees == 30)
+            assert report.trees_enumerated == len(trees)
+            given = tree_equivalence_report(G2, H2, [K3], budget, trees=trees[::-1]).to_json()
+            assert given == dict(report.to_json(), budget_truncated=False)
+
+    @pytest.mark.parametrize("colors", [1, 2], ids=["one-color", "two-colors"])
+    def test_violations_ordered_by_round_code_color(self, monkeypatch, colors):
+        # a refinement that merges vertices the trees separate: every tree
+        # that varies within a class is reported, by round, code and color
+        def merged(g, h, init_g, init_h, rounds):
+            return tuple(Coloring(x.id, (tuple(v % colors for v in range(x.n)),) * (rounds + 1),
+                                  True) for x in (g, h))
+
+        monkeypatch.setattr(tree_module, "wl_refine", merged)
+        budget = EnumerationBudget(depth=1, backbone=3, multiplicity=1)
+        trees, _ = enumerate_pattern_trees([K3], budget)
+        want = []
+        for d in range(2):
+            for tree in trees:
+                if tree.depth > d:
+                    continue
+                for color in range(colors):
+                    vals = sorted({*hom_pattern_tree(tree, G2)[color::colors],
+                                   *hom_pattern_tree(tree, H2)[color::colors]})
+                    if len(vals) > 1:
+                        want.append(f"round {d} color {color}: counts {vals} "
+                                    f"for tree {tree.signature()}")
+        assert len(want) > 2
+        for stream in (None, trees[::-1]):
+            report = tree_equivalence_report(G2, H2, [K3], budget, trees=stream)
+            assert report.forward_violations == want
+
+    def test_codes_only_the_witness_group(self, monkeypatch):
+        calls = []
+
+        def spy(g, root):
+            calls.append(g)
+            return canonical_code(g, root)
+
+        monkeypatch.setattr(tree_module, "canonical_code", spy)
+        report = tree_equivalence_report(G2, H2, [cycle(3), cycle(4)])
+        assert report.witness is not None and report.trees_enumerated > 2000
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize("pair", [
         families.wl_equivalent_triangle_pair(),
