@@ -21,7 +21,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from homcount.counting import _basis_counts, _check, count_plan, hom_vector
+from homcount.counting import _basis_counts, _check, hom_vector
 from homcount.graphs import Graph, RootedPattern, canonical_code, normalize_edges
 from homcount.graphs import is_connected, is_isomorphic
 from homcount.refinement import Verdict, graph_verdict, wl_refine
@@ -134,12 +134,11 @@ def hom_pattern_tree(
     their sum, the count of the unrooted flattened tree, against the ceiling.
 
     ``attachments`` holds each of the tree's patterns' per-anchor counts on g
-    (default: their basis counts in the hom :func:`homcount.counting.count_plan`,
-    unchecked); pass them to count many trees over one pattern list on one graph.
+    (default: their unchecked counts from :func:`homcount.counting._basis_counts`);
+    pass them to count many trees over one pattern list on one graph.
     """
     if attachments is None:
-        plan = count_plan(tree.patterns, "hom")  # one graph: one row of basis counts
-        attachments = [row[i] for row in _basis_counts(plan.basis, [g]) for ((i, _),) in plan.terms]
+        attachments = next(_basis_counts(tree.patterns, [g]))
     n = g.n
     adjacency = g.adjacency
     kids = tree.children()
@@ -223,20 +222,17 @@ def _flat_code(tree: PatternTree) -> bytes:
     return canonical_code(flatten(tree).graph, 0)
 
 
-def _flat_size(tree: PatternTree) -> int:  # flatten(tree)'s vertex count
-    return tree.size + sum(m * (p.graph.n - 1) for s in tree.attachments
-                           for p, m in zip(tree.patterns, s))
-
-
 def _tree_classes(
     patterns: Sequence[RootedPattern], budget: EnumerationBudget, alphabet: Sequence[int]
-) -> tuple[list[PatternTree], bool]:
+) -> tuple[dict, bool, bool]:
     """One tree per isomorphism class of flattened forms, the first generated,
-    in generation order, and whether the hard cap cut the stream short.
+    in generation order, as {class key: tree}; whether :func:`_key_is_complete`,
+    and whether the hard cap cut the stream short.
 
-    Candidates are deduped by structural key, unflattened, and unless
-    :func:`_key_is_complete`, by flattened code, which merges what keys split
-    (say, an attached L2). Past ``budget.max_trees``, the greatest code is cut.
+    Candidates are deduped by structural key, unflattened, and unless keys are
+    complete, by flattened code, which merges what keys split (say, an attached
+    L2): the class key is the structural key if complete, else the code. Past
+    ``budget.max_trees``, the greatest code is cut.
     """
     patterns = tuple(patterns)
     vectors = list(_multiplicity_vectors(len(patterns), budget.multiplicity))
@@ -262,9 +258,9 @@ def _tree_classes(
         tree = PatternTree(parent, labels, assignment, patterns)
         kept.setdefault(key if complete else _flat_code(tree), tree)
         if len(kept) > budget.max_trees:
-            del kept[max(kept, key=lambda k: _flat_code(kept[k]))]
-            return list(kept.values()), True
-    return list(kept.values()), False
+            del kept[max(kept, key=lambda k: _flat_code(kept[k])) if complete else max(kept)]
+            return kept, complete, True
+    return kept, complete, False
 
 
 def enumerate_pattern_trees(
@@ -272,11 +268,14 @@ def enumerate_pattern_trees(
 ) -> tuple[list[PatternTree], bool]:
     """Every tree within budget, once up to isomorphism of its flattened form,
     sorted by that form's canonical code: the trees of :func:`_tree_classes`,
-    which codes only to dedup incomplete keys and to cut a truncated stream,
-    each coded once more to sort. Returns (trees, truncated); ``truncated``
-    reports that the hard cap cut the stream short."""
-    trees, truncated = _tree_classes(patterns, budget, alphabet)
-    return sorted(trees, key=_flat_code), truncated
+    which codes each candidate it keeps when keys are incomplete, and sorts by
+    those codes; otherwise each tree is coded to sort (and to cut a truncated
+    stream). Returns (trees, truncated); ``truncated`` reports that the hard
+    cap cut the stream short."""
+    kept, complete, truncated = _tree_classes(patterns, budget, alphabet)
+    if complete:  # class keys are structural: code each tree to sort
+        kept = {_flat_code(tree): tree for tree in kept.values()}
+    return [kept[code] for code in sorted(kept)], truncated
 
 
 # --- equivalence harness ---------------------------------------------------------
@@ -359,7 +358,7 @@ def tree_equivalence_report(
     those no deeper than the round that split the pair: the graph-level counts,
     or, if ``vertex_pair`` is given, the counts rooted at that pair. So codes
     are computed only for :func:`_tree_classes`' incomplete keys and truncation
-    cut, for violations, and for the differing trees of least flattened size.
+    cut, for violations, and for the differing trees.
 
     ``trees`` short-circuits enumeration with a pre-built stream; a tree
     built over another pattern list raises ValueError.
@@ -369,7 +368,8 @@ def tree_equivalence_report(
             raise ValueError(f"vertex {v} out of range for graph {grf.id} with {grf.n} vertices")
     if trees is None:
         alphabet = sorted(set(g.labels) | set(h.labels))
-        trees, truncated = _tree_classes(patterns, budget, alphabet)
+        kept, _, truncated = _tree_classes(patterns, budget, alphabet)
+        trees = list(kept.values())
     else:
         trees, truncated = list(trees), False
         if any(tree.patterns != tuple(patterns) for tree in trees):
@@ -415,12 +415,9 @@ def tree_equivalence_report(
         )
     witness = None
     if limit is not None:
-        differ = [(_flat_size(t), t, count_g(cg), count_h(ch)) for depth, t, cg, ch in per_tree
-                  if depth <= limit and count_g(cg) != count_h(ch)]
-        if differ:  # a rooted code leads with the vertex count: code the smallest only
-            least = min(x[0] for x in differ)
-            _, t, a, b = min((x for x in differ if x[0] == least), key=lambda x: _flat_code(x[1]))
-            witness = Witness(t, a, b, kind, vertex_pair)
+        differ = [Witness(t, count_g(cg), count_h(ch), kind, vertex_pair)
+                  for depth, t, cg, ch in per_tree if depth <= limit and count_g(cg) != count_h(ch)]
+        witness = min(differ, key=lambda w: _flat_code(w.tree), default=None)
 
     return HarnessReport(
         verdict=verdict,

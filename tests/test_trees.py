@@ -393,9 +393,11 @@ class TestStructuralPrefilter:
             multiplicity = min(multiplicity, 1)
         patterns = [POOL[name] for name in names]
         budget = EnumerationBudget(depth=depth, backbone=3, multiplicity=multiplicity)
-        got, truncated = tree_module._tree_classes(patterns, budget, alphabet)
-        want = [tree for _, tree in code_only_classes(patterns, budget, alphabet)]
-        assert shape(got) == shape(want)
+        kept, complete, truncated = tree_module._tree_classes(patterns, budget, alphabet)
+        want = dict(code_only_classes(patterns, budget, alphabet))
+        assert shape(list(kept.values())) == shape(list(want.values()))
+        if not complete:  # class keys are the codes
+            assert list(kept) == list(want)
         assert not truncated
 
 
