@@ -72,40 +72,11 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def children(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p >= 0:
-                out[p].append(i)
-        return out
-
-    def root(self) -> int:
-        return self.parent.index(-1)
-
     def to_json(self) -> dict:
         return {
             "bags": [sorted(b) for b in self.bags],
             "tree": [[p, i] for i, p in enumerate(self.parent) if p >= 0],
         }
-
-
-@dataclass(frozen=True)
-class NiceNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    bag: tuple[int, ...]  # sorted
-    vertex: int  # introduced/forgotten vertex, -1 otherwise
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    """Binary nice decomposition; ``nodes`` is in postorder, last node is the root."""
-
-    nodes: tuple[NiceNode, ...]
-
-    @property
-    def width(self) -> int:
-        return max(len(nd.bag) for nd in self.nodes) - 1
 
 
 # --- join ------------------------------------------------------------------
@@ -387,65 +358,3 @@ def _decomposition_from_elimination(g: Graph, order: Sequence[int]) -> TreeDecom
         elif i < n - 1:
             parent[i] = i + 1  # isolated remainder: chain to keep a single tree
     return TreeDecomposition(tuple(bag_of), tuple(parent))
-
-
-def nice_decomposition(
-    td: TreeDecomposition,
-    root_node: Optional[int] = None,
-    forget_last: Optional[int] = None,
-) -> NiceTreeDecomposition:
-    """Binary nice form of the same width: leaves start empty, each node
-    introduces or forgets one vertex, join children share a bag, the root bag
-    is empty.
-
-    ``root_node`` picks which decomposition node becomes the top; the final
-    forget chain leaves ``forget_last`` for last, which lets a counting pass
-    read off per-anchor tables just below the root.
-    """
-    nodes: list[NiceNode] = []
-
-    def emit(kind, bag, vertex=-1, children=()):
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), vertex, tuple(children)))
-        return len(nodes) - 1
-
-    # reorient the tree at root_node
-    adj: list[list[int]] = [[] for _ in td.bags]
-    for i, p in enumerate(td.parent):
-        if p >= 0:
-            adj[i].append(p)
-            adj[p].append(i)
-    top = td.root() if root_node is None else root_node
-
-    def chain_to(idx: int, cur_bag: set, target: set) -> int:
-        """Forget then introduce, one vertex per node, to morph cur_bag into target."""
-        for v in sorted(cur_bag - target):
-            cur_bag.discard(v)
-            idx = emit("forget", cur_bag, v, (idx,))
-        for v in sorted(target - cur_bag):
-            cur_bag.add(v)
-            idx = emit("introduce", cur_bag, v, (idx,))
-        return idx
-
-    def build(node: int, parent: int) -> int:
-        bag = set(td.bags[node])
-        kids = [c for c in adj[node] if c != parent]
-        if not kids:
-            idx = emit("leaf", ())
-            return chain_to(idx, set(), bag)
-        built = []
-        for c in kids:
-            sub = build(c, node)
-            sub_bag = set(td.bags[c])
-            built.append(chain_to(sub, sub_bag, bag))
-        acc = built[0]
-        for other in built[1:]:
-            acc = emit("join", bag, -1, (acc, other))
-        return acc
-
-    idx = build(top, -1)
-    final_bag = set(td.bags[top])
-    tail = sorted(final_bag, key=lambda v: (v == forget_last, v))
-    for v in tail:
-        final_bag.discard(v)
-        idx = emit("forget", final_bag, v, (idx,))
-    return NiceTreeDecomposition(tuple(nodes))

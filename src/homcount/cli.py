@@ -34,6 +34,7 @@ from homcount.pipeline import (
     compute_features,
     load_dataset,
     load_pattern_set,
+    read_json,
     write_csv,
 )
 from homcount.refinement import f_wl, graph_verdict, k_wl, wl_refine
@@ -137,11 +138,7 @@ def _first_graph(path: str, alphabet: LabelAlphabet):
 
 
 def _first_pattern(path: str, alphabet: LabelAlphabet) -> RootedPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}", field="record") from exc
+    data = read_json(path)
     if isinstance(data, list):
         if not data:
             raise ParseError(f"{path}: empty pattern set", field="record")

@@ -18,11 +18,15 @@ or int64 numpy key/count arrays (:mod:`homcount.dp_arrays`) over a whole
 batch. :func:`_batches` splits the graphs and picks the kernel per batch and
 basis pattern, and its docstring gives the rules; a single call is a batch of
 one graph. ``dp_arrays``, and numpy with it, is imported only when the arrays
-are used. Both kernels return Python ints, and neither raises.
+are used. Both kernels run the steps of :func:`_dp_plan`, the one plan
+compiler, which walks an exact-width tree decomposition of P straight into
+leaf, introduce, forget and join steps; both return Python ints, and neither
+raises.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -30,12 +34,7 @@ from math import prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from homcount.algebra import (
-    automorphism_count,
-    nice_decomposition,
-    quotient_classes,
-    treewidth,
-)
+from homcount.algebra import automorphism_count, quotient_classes, treewidth
 from homcount.graphs import (
     Graph, RootedPattern, _bits, canonical_code, connected_components, count_maps
 )
@@ -99,34 +98,53 @@ class _DpPlan(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _dp_plan(p: RootedPattern) -> _DpPlan:
-    """Compile a rooted pattern into nice-decomposition DP instructions that
-    stop just before the root's own forget, so the last table is keyed by the
-    root's image alone."""
+    """Compile a rooted pattern into DP steps over an exact-width tree
+    decomposition (:func:`homcount.algebra.treewidth`); the one plan compiler.
+
+    The walk starts at the first bag holding the root. A leaf starts empty; a
+    child's bag first forgets what its parent's bag lacks, then introduces
+    the rest, one vertex per step, in vertex order; children join pairwise
+    in order. Closing forgets, in vertex order, stop just before the root's
+    own forget, so the last table is keyed by the root's image alone.
+    """
     pg, root = p.graph, p.root
-    width, td = treewidth(pg)
+    _, td = treewidth(pg)
+    adj: list[list[int]] = [[] for _ in td.bags]
+    for i, up in enumerate(td.parent):
+        if up >= 0:
+            adj[i].append(up)
+            adj[up].append(i)
+    steps: list[_DpStep] = []
+
+    def emit(kind, children, pos=-1, label=-1, priors=(), size=0) -> int:
+        steps.append(_DpStep(kind, children, pos, label, priors, size))
+        return len(steps) - 1
+
+    def morph(idx: int, bag: list[int], target: frozenset[int]) -> int:
+        """Steps from ``idx``'s sorted ``bag`` to ``target``'s vertices."""
+        for v in [v for v in bag if v not in target]:
+            pos = bag.index(v)
+            del bag[pos]
+            idx = emit("forget", (idx,), pos, size=len(bag))
+        for v in sorted(target.difference(bag)):
+            mask = pg.adj_masks[v]
+            priors = tuple(j for j, u in enumerate(bag) if mask >> u & 1)
+            insort(bag, v)
+            idx = emit("introduce", (idx,), bag.index(v), pg.labels[v], priors, len(bag))
+        return idx
+
+    def build(node: int, up: int) -> int:
+        target = td.bags[node]
+        kids = [c for c in adj[node] if c != up]
+        if not kids:
+            return morph(emit("leaf", ()), [], target)
+        acc, *rest = [morph(build(c, node), sorted(td.bags[c]), target) for c in kids]
+        for other in rest:
+            acc = emit("join", (acc, other), size=len(target))
+        return acc
+
     top = next(i for i, b in enumerate(td.bags) if root in b)
-    nice = nice_decomposition(td, root_node=top, forget_last=root)
-    assert nice.nodes[-2].bag == (root,)
-    steps = []
-    for nd in nice.nodes[:-1]:
-        size = len(nd.bag)
-        if nd.kind == "leaf":
-            steps.append(_DpStep("leaf", (), -1, -1, (), size))
-        elif nd.kind == "introduce":
-            child_bag = nice.nodes[nd.children[0]].bag
-            pos = nd.bag.index(nd.vertex)
-            child_pos = {u: i for i, u in enumerate(child_bag)}
-            priors = tuple(
-                sorted(child_pos[w] for w in pg.adjacency[nd.vertex] if w in child_pos)
-            )
-            steps.append(
-                _DpStep("introduce", nd.children, pos, pg.labels[nd.vertex], priors, size)
-            )
-        elif nd.kind == "forget":
-            child_bag = nice.nodes[nd.children[0]].bag
-            steps.append(_DpStep("forget", nd.children, child_bag.index(nd.vertex), -1, (), size))
-        else:
-            steps.append(_DpStep("join", nd.children, -1, -1, (), size))
+    morph(build(top, -1), sorted(td.bags[top]), frozenset((root,)))
     return _DpPlan(tuple(steps), max(s.size for s in steps))
 
 
@@ -223,7 +241,7 @@ def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
 
 
 def hom_count_dp(pattern: PatternLike, g: Graph) -> Union[tuple[int, ...], int]:
-    """Homomorphism counts over a nice tree decomposition of the pattern.
+    """Homomorphism counts by the tree-decomposition DP (:func:`_dp_plan`).
 
     A rooted pattern gives its count at every anchor of ``g`` in one pass. A
     plain graph gives the unrooted scalar: the product over its components,

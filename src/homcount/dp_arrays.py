@@ -1,20 +1,19 @@
 """The counting DP on int64 numpy arrays, for large graphs and batches of graphs.
 
-Runs the same rooted nice-decomposition plan as the dict kernel in
-:mod:`homcount.counting` on a batch of m graphs at once, with every table held
-as int64 key/count arrays, and returns each graph's per-anchor counts. A
-connected pattern's rooted counts are local, so the batch acts as the
-disjoint union of its graphs: each graph is a block, and an entry whose bag
-images lie in block b with local ids v_j is keyed ``b + m * sum_j v_j * R**j``
-for R the batch's largest vertex count. No entry spans two blocks: a vertex
-introduced next to a bag vertex is its neighbour, and one introduced free
-ranges over its key's own block, whose first free introduce comes from a
-leaf entry per block. A single graph is the batch m = 1, keyed in mixed
-radix n. ``counting._batches`` runs a pattern here only on batches where
-its counts provably fit in int64 and its dense arrays (the adjacency table
-and every forget's sum) within ``counting.DENSE_LIMIT``, and its docstring
-gives the bounds; ``counting`` imports this module, and numpy with it, only
-then.
+Runs the same plan as the dict kernel, the steps of ``counting._dp_plan``, on
+a batch of m graphs at once, with every table held as int64 key/count arrays,
+and returns each graph's per-anchor counts. A connected pattern's rooted
+counts are local, so the batch acts as the disjoint union of its graphs: each
+graph is a block, and an entry whose bag images lie in block b with local ids
+v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's largest vertex
+count. No entry spans two blocks: a vertex introduced next to a bag vertex is
+its neighbour, and one introduced free ranges over its key's own block, whose
+first free introduce comes from a leaf entry per block. A single graph is the
+batch m = 1, keyed in mixed radix n. ``counting._batches`` runs a pattern here
+only on batches where its counts provably fit in int64 and its dense arrays
+(the adjacency table and every forget's sum) within ``counting.DENSE_LIMIT``,
+and its docstring gives the bounds; ``counting`` imports this module, and
+numpy with it, only then.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def _record_from_line(line) -> dict:
     if isinstance(line, str):
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}", field="record") from exc
     if not isinstance(rec, dict):
         raise ParseError("record must be a JSON object", field="record")

@@ -51,13 +51,19 @@ def load_dataset(path: str, alphabet: LabelAlphabet) -> list[Graph]:
     return graphs
 
 
-def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
-    """JSON array of pattern records (graph record plus ``root``)."""
+def read_json(path: str):
+    """The JSON value in ``path``; invalid JSON, or JSON nested too deep to
+    decode, raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}", field="record") from exc
+
+
+def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
+    """JSON array of pattern records (graph record plus ``root``)."""
+    data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(f"{path}: pattern set must be a JSON array", field="record")
     out = []
@@ -116,8 +122,9 @@ def _count_rows(args):
 
 
 def _all_count_rows(graphs, patterns, mode, threads):
-    """Every graph's rows, in order; with several threads, each worker counts
-    one contiguous run of about len(graphs) / threads graphs, which
+    """Every graph's rows, in order; with several threads, the graphs are cut
+    into jobs, contiguous runs of about len(graphs) / threads graphs, and
+    one worker per job counts its run, which
     :func:`homcount.counting.hom_vectors` splits into its batches."""
     if threads == 0:
         threads = os.cpu_count() or 1
@@ -125,7 +132,7 @@ def _all_count_rows(graphs, patterns, mode, threads):
         return _count_rows((graphs, patterns, mode))
     step = -(-len(graphs) // threads)
     jobs = [(graphs[i:i + step], patterns, mode) for i in range(0, len(graphs), step)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         results = list(pool.map(_count_rows, jobs))
     rows: list[tuple] = []
     overflowed = []

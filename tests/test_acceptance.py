@@ -42,7 +42,7 @@ from homcount.trees import (
     tree_equivalence_report,
 )
 
-from test_algebra import check_decomposition
+from checks import check_decomposition
 
 
 class timed:

@@ -6,22 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcount.algebra import (
-    NiceTreeDecomposition,
     Partition,
     SizeGuardError,
-    TreeDecomposition,
     automorphism_count,
     core_of,
     is_join_decomposable,
     join,
     join_factors,
-    nice_decomposition,
     quotient,
     quotient_rooted,
     spasm,
     treewidth,
 )
 from homcount.graphs import Graph, RootedPattern, canonical_code, is_isomorphic, normalize_edges
+
+from checks import check_decomposition
 
 
 def build(n, edges, labels=None, gid="g"):
@@ -254,35 +253,6 @@ class TestAutomorphisms:
         assert automorphism_count(p) == 2
 
 
-def check_decomposition(g: Graph, td: TreeDecomposition):
-    """Independent validity checker for tree decompositions."""
-    covered = set()
-    for b in td.bags:
-        covered |= b
-    assert covered == set(range(g.n)), "bags must cover all vertices"
-    # every edge inside some bag
-    for u, v in g.edges:
-        assert any(u in b and v in b for b in td.bags), f"edge ({u},{v}) uncovered"
-    # occurrence sets connected: for each vertex, nodes holding it form a subtree
-    for v in range(g.n):
-        holders = [i for i, b in enumerate(td.bags) if v in b]
-        if len(holders) <= 1:
-            continue
-        hset = set(holders)
-        seen = {holders[0]}
-        frontier = [holders[0]]
-        while frontier:
-            x = frontier.pop()
-            nbrs = [td.parent[x]] + [i for i, p in enumerate(td.parent) if p == x]
-            for y in nbrs:
-                if y in hset and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        assert seen == hset, f"occurrence set of {v} is disconnected"
-    # single tree
-    assert td.parent.count(-1) == 1
-
-
 class TestTreewidth:
     def test_golden_values(self):
         tree = build(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
@@ -356,31 +326,6 @@ class TestTreewidth:
             w_joined, _ = treewidth(joined.graph)
             assert w_joined <= max(w_base, 1)
 
-
-class TestNiceDecomposition:
-    def test_triangle_forced_shape(self):
-        g = clique(3)
-        _, td = treewidth(g)
-        nice = nice_decomposition(td)
-        kinds = [nd.kind for nd in nice.nodes]
-        assert kinds.count("leaf") == 1
-        assert kinds.count("introduce") == 3
-        assert kinds.count("forget") == 3
-        assert nice.nodes[-1].bag == ()
-
-    def test_width_preserved_and_valid(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randrange(2, 10)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-            g = build(n, edges)
-            w, td = treewidth(g)
-            nice = nice_decomposition(td)
-            assert nice.width == td.width
-            check_nice(nice, g)
-            # node count stays linear in width * vertices
-            assert len(nice.nodes) <= 6 * (w + 2) * (n + 2)
-
     def test_decomposition_json_shape(self):
         g = cycle(5)
         _, td = treewidth(g)
@@ -389,38 +334,6 @@ class TestNiceDecomposition:
         assert sorted(v for bag in blob["bags"] for v in bag)
         assert all(len(edge) == 2 for edge in blob["tree"])
         assert len(blob["tree"]) == len(blob["bags"]) - 1
-
-    def test_forget_last_is_respected(self):
-        g = cycle(5)
-        _, td = treewidth(g)
-        target = 3
-        holder = next(i for i, b in enumerate(td.bags) if target in b)
-        nice = nice_decomposition(td, root_node=holder, forget_last=target)
-        forgets = [nd for nd in nice.nodes if nd.kind == "forget"]
-        assert forgets[-1].vertex == target
-        assert nice.nodes[-1].kind == "forget" and nice.nodes[-1].bag == ()
-
-
-def check_nice(nice: NiceTreeDecomposition, g: Graph):
-    """Node-local invariants plus global introduce/forget bookkeeping."""
-    for idx, nd in enumerate(nice.nodes):
-        if nd.kind == "leaf":
-            assert nd.bag == () and not nd.children
-        elif nd.kind == "introduce":
-            (c,) = nd.children
-            child = nice.nodes[c]
-            assert nd.vertex not in child.bag
-            assert set(nd.bag) == set(child.bag) | {nd.vertex}
-        elif nd.kind == "forget":
-            (c,) = nd.children
-            child = nice.nodes[c]
-            assert nd.vertex in child.bag
-            assert set(nd.bag) == set(child.bag) - {nd.vertex}
-        elif nd.kind == "join":
-            a, b = nd.children
-            assert nice.nodes[a].bag == nd.bag == nice.nodes[b].bag
-        assert all(c < idx for c in nd.children)
-    assert nice.nodes[-1].bag == ()
 
 
 class TestJoinDecomposable:

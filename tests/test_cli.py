@@ -180,6 +180,17 @@ class TestFeatures:
         assert code == 2
         assert err.startswith("error: parse:") and "bad.jsonl:1" in err
 
+    @pytest.mark.parametrize("command", ["features", "count"])
+    def test_nested_graph_json_exit_2(self, capsys, tmp_path, k3_file, command):
+        # too deep for the JSON decoder's recursion: invalid JSON, not a traceback
+        bad = write(tmp_path / "deep.jsonl", "[" * 100_000 + "\n")
+        argv = {"features": ["features", bad, "--patterns", k3_file],
+                "count": ["count", "--pattern", k3_file, "--graph", bad]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: parse:") and "deep.jsonl:1: invalid JSON" in err
+        assert err.count("\n") == 1, err
+
     def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):
         bad = write(tmp_path / "bad.jsonl", '{"id":"x","n":2,"labels":[0,[1]],"edges":[[0,1]]}\n')
         code, out, err = run(capsys, "features", bad, "--patterns", k3_file)
@@ -378,7 +389,8 @@ class TestMalformedPatterns:
     @pytest.mark.parametrize("text", [
         "[5]", "[null]", "[true]", "[[0, 1]]",
         json.dumps([json.dumps({"id": "K1", "n": 1, "edges": [], "root": 0})]), "5", "{",
-    ], ids=["number", "null", "boolean", "list", "string", "bare-number", "bad-json"])
+        "[" * 100_000,
+    ], ids=["number", "null", "boolean", "list", "string", "bare-number", "bad-json", "nested"])
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_exit_2(self, capsys, tmp_path, fixture_files, command, text):
         a, b = fixture_files

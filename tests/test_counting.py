@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import homcount.counting as counting
 from homcount import dp_arrays
-from homcount.algebra import join
+from homcount.algebra import join, quotient_classes, treewidth
 from homcount.counting import (
     MAX_COUNT,
     CountOverflowError,
@@ -51,6 +52,19 @@ def random_graph(rng, n, p, labels=1, gid="rg"):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     labs = [rng.randrange(labels) for _ in range(n)]
     return build(n, edges, labels=labs, gid=gid)
+
+
+# Three legs of length 2 from one centre: treewidth 1 but pathwidth 2. A plan
+# without joins is a path decomposition, so a plan with bags of at most 2
+# vertices must join.
+SPIDER = RootedPattern(
+    build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], gid="spider"), 2
+)
+
+
+def joins_at_width_one(pat):
+    plan = _dp_plan(pat)
+    return plan.largest_bag == 2 and any(s.kind == "join" for s in plan.steps)
 
 
 class TestBruteForce:
@@ -199,25 +213,18 @@ class TestDpMatchesBrute:
                 )
 
     def test_branching_decompositions_match_brute(self):
-        # tree-shaped patterns give decompositions with join nodes, a DP code
-        # path the clique/cycle/path grid never reaches
-        from homcount.counting import _dp_plan
-
+        # tree-shaped patterns; the spider's plans reach the join step, a DP
+        # code path the clique/cycle/path grid never reaches
         star3 = RootedPattern(build(4, [(0, 1), (0, 2), (0, 3)], gid="star3"), 0)
-        spider = RootedPattern(
-            build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], gid="spider"), 2
-        )
         double_star = RootedPattern(
             build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)], gid="dstar"), 0
         )
-        for pat in (star3, spider, double_star):
-            steps = _dp_plan(pat).steps
-            assert any(s.kind == "join" for s in steps)
+        assert all(joins_at_width_one(RootedPattern(SPIDER.graph, r)) for r in range(7))
         rng = random.Random(47)
         for _ in range(20):
             g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.6]),
                              labels=rng.choice([1, 2]))
-            for pat in (star3, spider, double_star):
+            for pat in (star3, SPIDER, double_star):
                 vec = hom_count_dp(pat, g)
                 assert vec == tuple(
                     hom_count_brute(pat, g, v) for v in range(g.n)
@@ -646,12 +653,96 @@ class TestCheckedReturns:
         assert hom_count_dp(labelled_star(12, b_leaf), star) == (0,) * 3001
 
 
+# --- DP plans -------------------------------------------------------------------
+
+
+def atlas_patterns():
+    """Every connected graph of the networkx atlas on 1 to 6 vertices, at every root."""
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 1 <= n <= 6 and nx.is_connected(h):
+            g = build(n, list(h.edges()))
+            yield from (RootedPattern(g, root) for root in range(n))
+
+
+def bench_base_patterns():
+    """The quotient classes of C3-C8, L1-L7, K4, K5 and the bowtie, each
+    rooted at vertex 0 as the bench roots them."""
+    bowtie = RootedPattern(build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]), 0)
+    bases = ([cycle(k, root=0) for k in range(3, 9)] + [lpath(k) for k in range(1, 8)]
+             + [clique(4, root=0), clique(5, root=0), bowtie])
+    for p in bases:
+        yield from (q for _, q in quotient_classes(p))
+
+
+PLAN_CORPORA = {"atlas": atlas_patterns, "bench": bench_base_patterns}
+
+
+def check_plan(plan, pg):
+    """A plan's steps over pattern graph ``pg`` form one binary tree in
+    postorder whose bag sizes move as each step kind says."""
+    sizes: list[int] = []
+    parents = [0] * len(plan.steps)
+    for i, step in enumerate(plan.steps):
+        assert all(c < i for c in step.children)
+        for c in step.children:
+            parents[c] += 1
+        below = [sizes[c] for c in step.children]
+        if step.kind == "leaf":
+            assert step.size == 0 and step.children == ()
+        elif step.kind == "introduce":
+            (child,) = below
+            assert step.size == child + 1 and 0 <= step.pos < step.size
+            priors = step.prior_positions
+            assert list(priors) == sorted(set(priors)) and all(0 <= q < child for q in priors)
+        elif step.kind == "forget":
+            (child,) = below
+            assert step.size == child - 1 and 0 <= step.pos < child
+        else:
+            assert step.kind == "join" and below == [step.size, step.size]
+        sizes.append(step.size)
+    assert parents == [1] * (len(sizes) - 1) + [0]
+    assert sizes[-1] == 1
+    assert plan.largest_bag == max(sizes) == treewidth(pg)[0] + 1
+    assert [step.kind for step in plan.steps].count("forget") == pg.n - 1
+
+
+class TestDpPlan:
+    # SHA-256 of the newline-joined repr(_dp_plan(p)) over each corpus, in order
+    PLAN_DIGESTS = {
+        "atlas": "37aaa4a89dbbd523cec9352ec9dac2c80f893ac847833f7df7238f7efab08a3a",
+        "bench": "4b37460633f5733f62b08860f65951af18f180a393ddb454b74dc82c1d549394",
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(PLAN_CORPORA))
+    def test_plans_are_valid(self, corpus):
+        for p in PLAN_CORPORA[corpus]():
+            check_plan(_dp_plan(p), p.graph)
+
+    @pytest.mark.parametrize("corpus", sorted(PLAN_CORPORA))
+    def test_plans_pinned(self, corpus):
+        text = "\n".join(repr(_dp_plan(p)) for p in PLAN_CORPORA[corpus]())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PLAN_DIGESTS[corpus]
+
+    def test_triangle_forced_shape(self):
+        kinds = [step.kind for step in _dp_plan(clique(3, root=0)).steps]
+        assert kinds == ["leaf"] + ["introduce"] * 3 + ["forget"] * 2
+
+    @given(connected_graphs(10), st.integers(min_value=0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_patterns_valid(self, pg, root):
+        plan = _dp_plan(RootedPattern(pg, root % pg.n))
+        check_plan(plan, pg)
+        assert len(plan.steps) <= 6 * (plan.largest_bag + 1) * (pg.n + 2)
+
+
 # --- the int64 array kernel and the dispatch between the two kernels -----------
 
 
-BRANCHING = (  # decompositions with join steps
+BRANCHING = (  # tree patterns; the spider's plans join
     RootedPattern(build(4, [(0, 1), (0, 2), (0, 3)], gid="star3"), 0),
-    RootedPattern(build(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], gid="spider"), 2),
+    SPIDER,
     RootedPattern(build(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)], gid="dstar"), 0),
 )
 KERNEL_PATTERNS = BRANCHING + (clique(3, root=0), clique(4, root=1), cycle(5, root=2), lpath(3))
@@ -679,8 +770,7 @@ class TestArrayKernel:
     """``dp_arrays.run_dp`` called directly, so the size dispatch cannot hide it."""
 
     def test_rooted_unrooted_and_join_steps_match_brute(self):
-        for pat in BRANCHING:
-            assert any(s.kind == "join" for s in _dp_plan(reroot(pat, 0)).steps)
+        assert joins_at_width_one(reroot(SPIDER, 0))
         rng = random.Random(61)
         for trial in range(25):
             g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.6]),

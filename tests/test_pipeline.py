@@ -16,6 +16,7 @@ from homcount.families import (
     single_vertex_pattern,
     wl_equivalent_triangle_pair,
 )
+from homcount import pipeline
 from homcount.graphs import Graph, LabelAlphabet, RootedPattern, normalize_edges
 from homcount.pipeline import (
     _column_stats,
@@ -203,6 +204,32 @@ class TestFeatures:
                 write_csv(table, buf)
                 outputs.append(buf.getvalue())
             assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_workers_capped_at_job_count(self, monkeypatch):
+        # a recorder maps inline in place of the pool, so no worker starts
+        calls = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                calls.append(("max_workers", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                calls.append(("jobs", len(jobs)))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        graphs = synthetic_dataset(3, seed=5)
+        pats = [clique_pattern(3), cycle_pattern(4)]
+        table = compute_features(graphs, pats, threads=100_000)
+        assert calls == [("max_workers", 3), ("jobs", 3)]
+        assert table.rows == compute_features(graphs, pats, threads=1).rows
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_negative_threads_rejected(self, count):
