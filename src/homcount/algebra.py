@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from homcount.graphs import (
     Graph,
     RootedPattern,
+    SizeGuardError,
     canonical_code,
     connected_components,
     count_maps,
@@ -23,10 +24,6 @@ from homcount.graphs import (
 
 TREEWIDTH_GUARD = 14
 SPASM_GUARD = 9
-
-
-class SizeGuardError(RuntimeError):
-    """An enumeration/DP size guard tripped; the input is out of the tool's regime."""
 
 
 @dataclass(frozen=True)

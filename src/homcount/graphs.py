@@ -13,6 +13,13 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
+VERTEX_GUARD = 1 << 22  # an edgeless graph this size peaks near 380 MB with its adjacency built
+
+
+class SizeGuardError(RuntimeError):
+    """An enumeration/DP size guard tripped; the input is out of the tool's regime."""
+
+
 class ParseError(ValueError):
     """Malformed graph or pattern record; ``field`` names the offending part."""
 
@@ -238,6 +245,8 @@ def parse_graph(line, alphabet: Optional[LabelAlphabet] = None) -> Graph:
     n = rec.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError("'n' must be a nonnegative integer", field="n")
+    if n > VERTEX_GUARD:  # before anything is built per vertex
+        raise SizeGuardError(f"graphs limited to {VERTEX_GUARD} vertices, got {n}")
     raw_edges = rec.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list of pairs", field="edges")

@@ -12,20 +12,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
-from homcount.counting import CountOverflowError, hom_count_brute, hom_vectors
+from homcount.counting import CountOverflowError, hom_vectors
 from homcount.graphs import (
     Graph,
     LabelAlphabet,
     ParseError,
     RootedPattern,
-    is_isomorphic,
+    canonical_code,
+    count_maps,
     parse_graph,
     parse_pattern,
 )
@@ -130,6 +130,8 @@ def _all_count_rows(graphs, patterns, mode, threads):
         threads = os.cpu_count() or 1
     if threads == 1 or len(graphs) <= 1:
         return _count_rows((graphs, patterns, mode))
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads multiprocessing
+
     step = -(-len(graphs) // threads)
     jobs = [(graphs[i:i + step], patterns, mode) for i in range(0, len(graphs), step)]
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
@@ -323,70 +325,47 @@ class AdvisorReport:
         }
 
 
-def _rooted_iso(a: RootedPattern, b: RootedPattern) -> bool:
-    return is_isomorphic(a.graph, b.graph, g_root=a.root, h_root=b.root)
-
-
 def advise(
     base: Sequence[RootedPattern], candidates: Sequence[RootedPattern]
 ) -> AdvisorReport:
     """Classify each candidate against the base set.
 
     REDUNDANT: the candidate splits at its root into factors already present
-    (join factors add no distinguishing power). GUARANTEED_GAIN: with k the
+    (join factors add no distinguishing power); a factor matches the first
+    base pattern with its rooted canonical code. GUARANTEED_GAIN: with k the
     treewidth of the candidate's core, every base pattern either has treewidth
-    below k or admits no homomorphism into the candidate (root-free check).
-    Anything else is UNKNOWN. The report ends with the dimension bound: the
-    max treewidth over base plus non-redundant candidates.
+    below k or admits no homomorphism into the candidate (one root-free
+    existence search). Anything else is UNKNOWN. The report ends with the
+    dimension bound: the max treewidth over base plus non-redundant candidates.
     """
     base = list(base)
-    base_tw = {p.id: treewidth(p.graph)[0] for p in base}
+    base_tw = [treewidth(p.graph)[0] for p in base]
+    kept_tw = list(base_tw) or [1]
+    first_id: dict[bytes, str] = {}  # rooted code -> first base id with it, built on a split
     verdicts = []
-    kept_tw = list(base_tw.values()) or [1]
     for q in candidates:
         factors = join_factors(q)
         if len(factors) > 1:
-            matches = []
-            for f in factors:
-                hit = next((p.id for p in base if _rooted_iso(f, p)), None)
-                matches.append(hit)
-            if all(m is not None for m in matches):
-                verdicts.append(
-                    CandidateVerdict(
-                        q.id,
-                        "REDUNDANT",
-                        None,
-                        {"factors": matches, "factor_sizes": [f.graph.n for f in factors]},
-                    )
-                )
+            if not first_id:
+                for p in base:
+                    first_id.setdefault(canonical_code(p.graph, p.root), p.id)
+            matches = [first_id.get(canonical_code(f.graph, f.root)) for f in factors]
+            if None not in matches:
+                evidence = {"factors": matches, "factor_sizes": [f.graph.n for f in factors]}
+                verdicts.append(CandidateVerdict(q.id, "REDUNDANT", None, evidence))
                 continue
-        width = treewidth(q.graph)[0]  # before core_of, so its 14-vertex guard fails fast
+        kept_tw.append(treewidth(q.graph)[0])  # before core_of, so its 14-vertex guard fails fast
         core = core_of(q)
         k = treewidth(core.graph)[0]
-        per_base = []
-        all_pass = True
-        used_no_hom = False
-        for p in base:
-            tw_ok = base_tw[p.id] < k
-            no_hom = False
-            if not tw_ok:
-                no_hom = hom_count_brute(p.graph, q.graph) == 0
-                used_no_hom = used_no_hom or no_hom
-            per_base.append(
-                {
-                    "pattern": p.id,
-                    "treewidth": base_tw[p.id],
-                    "below_core_width": tw_ok,
-                    "no_hom_into_candidate": no_hom,
-                }
-            )
-            if not (tw_ok or no_hom):
-                all_pass = False
-        evidence = {"core_size": core.graph.n, "core_treewidth": k, "base": per_base}
-        if all_pass:
-            rule = "no-hom" if used_no_hom else "treewidth"
+        rows = [
+            {"pattern": p.id, "treewidth": tw, "below_core_width": tw < k,
+             "no_hom_into_candidate": tw >= k and not count_maps(p.graph, q.graph, first=True)}
+            for p, tw in zip(base, base_tw)
+        ]
+        evidence = {"core_size": core.graph.n, "core_treewidth": k, "base": rows}
+        if all(r["below_core_width"] or r["no_hom_into_candidate"] for r in rows):
+            rule = "no-hom" if any(r["no_hom_into_candidate"] for r in rows) else "treewidth"
             verdicts.append(CandidateVerdict(q.id, "GUARANTEED_GAIN", rule, evidence))
         else:
             verdicts.append(CandidateVerdict(q.id, "UNKNOWN", None, evidence))
-        kept_tw.append(width)
     return AdvisorReport(tuple(verdicts), max(kept_tw))

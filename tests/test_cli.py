@@ -191,6 +191,33 @@ class TestFeatures:
         assert err.startswith("error: parse:") and "deep.jsonl:1: invalid JSON" in err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["features", "count"])
+    def test_huge_vertex_count_trips_guard(self, tmp_path, k3_file, command):
+        # in a child process under a 1 GB address-space limit: the guard trips
+        # before anything is built per vertex, so no MemoryError traceback
+        import os
+        import resource
+        import subprocess
+        import sys
+
+        huge = write(tmp_path / "huge.jsonl", '{"id": "g", "n": 1000000000000, "edges": []}\n')
+        argv = {"features": ["features", huge, "--patterns", k3_file],
+                "count": ["count", "--pattern", k3_file, "--graph", huge]}[command]
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from homcount.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+        assert out.returncode == 3 and out.stdout == ""
+        assert out.stderr == ("error: guard: graphs limited to 4194304 vertices, "
+                              "got 1000000000000\n")
+
     def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):
         bad = write(tmp_path / "bad.jsonl", '{"id":"x","n":2,"labels":[0,[1]],"edges":[[0,1]]}\n')
         code, out, err = run(capsys, "features", bad, "--patterns", k3_file)

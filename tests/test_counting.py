@@ -958,6 +958,32 @@ class TestDispatch:
         assert out.stdout.split() == ["0"] * len(argvs) + ["False"]
         assert (tmp_path / "out.csv").read_text().count("g1,") == 6
 
+    def test_single_thread_features_run_does_not_import_the_process_pool(self, tmp_path):
+        # the pool, and multiprocessing with it, loads only when a run has several workers
+        import json
+        import os
+        import subprocess
+        import sys
+
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(g.to_record()) + "\n" for g in (G1, H1)))
+        pats = tmp_path / "pats.json"
+        pats.write_text(json.dumps([clique(3, root=0).to_record()]))
+        argv = ["features", str(data), "--patterns", str(pats), "--threads", "1"]
+        script = (
+            "import contextlib, io, sys\n"
+            "from homcount.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["0", "False"]
+
 
 # --- batches: one array DP per basis pattern over many graphs -------------------
 

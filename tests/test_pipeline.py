@@ -1,17 +1,23 @@
+import concurrent.futures
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from homcount.families import (
     bowtie_pattern,
+    build_graph,
+    clique_graph,
     clique_pattern,
     cycle_pattern,
+    path_graph,
     path_pattern,
     single_vertex_pattern,
     wl_equivalent_triangle_pair,
@@ -224,7 +230,8 @@ class TestFeatures:
                 calls.append(("jobs", len(jobs)))
                 return map(fn, jobs)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        # the pool is imported where it is used, so the recorder replaces it at its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         graphs = synthetic_dataset(3, seed=5)
         pats = [clique_pattern(3), cycle_pattern(4)]
         table = compute_features(graphs, pats, threads=100_000)
@@ -283,3 +290,43 @@ class TestAdvisor:
     def test_bound_tracks_accepted(self):
         report = advise([clique_pattern(3)], [bowtie_pattern()])
         assert report.bound == 2  # the redundant bowtie is not counted
+
+    def test_base_treewidths_by_position_not_id(self):
+        # two base patterns share the id "p"; each keeps its own treewidth
+        base = [RootedPattern(clique_graph(4, "p"), 0), RootedPattern(path_graph(3, "p"), 0)]
+        report = advise(base, [clique_pattern(3)])
+        (v,) = report.verdicts
+        assert [row["treewidth"] for row in v.evidence["base"]] == [3, 1]
+        assert report.bound == 3
+
+    def test_no_hom_is_one_existence_search(self):
+        # K1,9 has 10^9 homomorphisms into itself; deciding that one exists counts none
+        star = build_graph("S9", 10, [(0, i) for i in range(1, 10)])
+        start = time.perf_counter()
+        report = advise([RootedPattern(star, 0)], [RootedPattern(star, 1)])
+        assert time.perf_counter() - start < 1.0
+        (v,) = report.verdicts
+        assert v.verdict == "UNKNOWN"
+        assert v.evidence["base"][0]["no_hom_into_candidate"] is False
+
+    def test_atlas_verdicts_pinned(self):
+        # every connected atlas graph on 1 to 5 vertices at every root, against
+        # five base sets: the advisor's JSON is pinned byte for byte
+        nx = pytest.importorskip("networkx")
+        cands = [
+            RootedPattern(build_graph(f"a{i}r{r}", h.number_of_nodes(), list(h.edges())), r)
+            for i, h in enumerate(nx.graph_atlas_g())
+            if 1 <= h.number_of_nodes() <= 5 and nx.is_connected(h)
+            for r in range(h.number_of_nodes())
+        ]
+        assert len(cands) == 138
+        bases = [
+            [clique_pattern(3)],
+            [clique_pattern(3), clique_pattern(4)],
+            [cycle_pattern(4), path_pattern(2)],
+            [cycle_pattern(6)],
+            [bowtie_pattern(), cycle_pattern(5)],
+        ]
+        text = "\n".join(json.dumps(advise(b, cands).to_json()) for b in bases)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c5453e13853b5c289d181a8d9c95f9f700c411d56c4ccc14128fce3339a6b579")

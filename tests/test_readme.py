@@ -11,6 +11,7 @@ from homcount.algebra import SPASM_GUARD, TREEWIDTH_GUARD
 from homcount.cli import main
 from homcount.counting import ARRAY_MIN_ENTRIES, DENSE_LIMIT
 from homcount.families import wl_equivalent_triangle_pair
+from homcount.graphs import VERTEX_GUARD
 from homcount.refinement import KWL_ENTRY_GUARD
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -59,3 +60,4 @@ def test_guard_numbers_match_the_code():
     assert int(re.search(r"machinery up to (\d+)", text).group(1)) == SPASM_GUARD
     digits, power = re.search(r"at (\d+)·10\^(\d+)", text).groups()
     assert int(digits) * 10 ** int(power) == KWL_ENTRY_GUARD
+    assert 2 ** int(re.search(r"up to 2\^(\d+) vertices", text).group(1)) == VERTEX_GUARD

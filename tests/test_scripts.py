@@ -16,3 +16,16 @@ def test_demo_script_runs(script, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_every_test_module_collects():
+    # the suite runs with --continue-on-collection-errors, where a test module
+    # that fails to import would silently drop out of the run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr
+    assert "error" not in done.stdout.splitlines()[-1], done.stdout[-2000:]
