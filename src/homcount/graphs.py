@@ -114,10 +114,19 @@ class Graph:
 
     @cached_property
     def label_masks(self) -> dict[int, int]:
-        """Per label, the bitmask of the vertices carrying it."""
-        masks: dict[int, int] = {}
+        """Per label, the bitmask of the vertices carrying it. Each mask is
+        written as base-2 digits and converted once, linear in n plus the
+        masks' size; ORing ``1 << v`` into a growing int is quadratic."""
+        members: dict[int, list[int]] = {}
         for v, lab in enumerate(self.labels):
-            masks[lab] = masks.get(lab, 0) | (1 << v)
+            members.setdefault(lab, []).append(v)
+        masks: dict[int, int] = {}
+        one = ord("1")
+        for lab, vs in members.items():
+            digits = bytearray(b"0") * (vs[-1] + 1)
+            for v in vs:
+                digits[v] = one
+            masks[lab] = int(digits[::-1], 2)
         return masks
 
     @cached_property

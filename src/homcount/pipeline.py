@@ -24,6 +24,7 @@ from homcount.graphs import (
     LabelAlphabet,
     ParseError,
     RootedPattern,
+    SizeGuardError,
     canonical_code,
     count_maps,
     parse_graph,
@@ -44,6 +45,8 @@ def load_dataset(path: str, alphabet: LabelAlphabet) -> list[Graph]:
                 g = parse_graph(line, alphabet)
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}", field=exc.field) from exc
+            except SizeGuardError as exc:
+                raise SizeGuardError(f"{path}:{lineno}: {exc}") from exc
             if g.id in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate graph id {g.id!r}", field="id")
             seen.add(g.id)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, product
+from operator import or_
 from typing import Optional, Sequence
 
 from homcount.algebra import SizeGuardError
@@ -19,9 +20,10 @@ from homcount.counting import hom_vector
 from homcount.graphs import Graph, RootedPattern, cells_of, refine, refine_cells
 
 # Cap on the substituted-tuple entries one k-WL round builds, g.n^(k+1) +
-# h.n^(k+1). Measured peak memory is 76-85 bytes per entry (3.46M entries at
-# k=2: 267 MB; 3.75M at k=3: 321 MB), so a run stays within about 350 MB.
-KWL_ENTRY_GUARD = 4_000_000
+# h.n^(k+1). Measured peak memory is at most 50 bytes per entry (5.65M entries
+# at k=3 with all colors distinct: 281 MB process peak; 5.97M at k=2: 258 MB),
+# so a run stays within about 350 MB.
+KWL_ENTRY_GUARD = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -152,33 +154,70 @@ def f_wl(
 # --- folklore k-WL -----------------------------------------------------------
 
 
-def _isotp(g: Graph, tup: tuple[int, ...]):
-    """Isomorphism type of a tuple: labels plus equality and adjacency patterns."""
-    k = len(tup)
-    labels = tuple(g.labels[v] for v in tup)
-    eq = tuple(tup[i] == tup[j] for i in range(k) for j in range(i + 1, k))
-    adj = tuple(
-        (g.adj_masks[tup[i]] >> tup[j]) & 1 for i in range(k) for j in range(i + 1, k)
-    )
-    return labels, eq, adj
+def _pair_type_rows(g: Graph):
+    """Per vertex v, the type of each pair (v, w) short of v's own label, as the
+    int ``(l_w << 2) | (v == w) << 1 | adj`` (w = 0, ..., n - 1)."""
+    low = [lab << 2 for lab in g.labels]
+    for v, nbrs in enumerate(g.adjacency):
+        row = low.copy()
+        row[v] |= 2
+        for w in nbrs:
+            row[w] |= 1
+        yield row
+
+
+def _initial_types(g: Graph, k: int, tuples: list) -> list:
+    """Isomorphism type of each k-tuple, equal across graphs iff the tuples'
+    labels, equalities and adjacencies agree: the label (k = 1), the pair type
+    ``(l_v << 34) | (l_w << 2) | (v == w) << 1 | adj`` (k = 2; labels are below
+    2^32, so it is injective), or the pair types of (a, b), (b, c) and (c, a)
+    (k = 3)."""
+    if k == 1:
+        return list(g.labels)
+    n = g.n
+    table = [(lab << 34) | x for lab, row in zip(g.labels, _pair_type_rows(g)) for x in row]
+    if k == 2:
+        return table
+    return [(table[a * n + b], table[b * n + c], table[c * n + a]) for a, b, c in tuples]
 
 
 def _tuple_signatures(grf: Graph, k: int, tuples: list, base: int):
     """Signatures for :func:`refine` over the k-tuples of one graph, numbered
     from ``base`` in mixed radix grf.n, so substituting vertex w at position p
     moves a tuple's index by (w - t[p]) * n^(k-1-p) and the colors of all n
-    substitutions are one strided slice."""
+    substitutions are one strided slice.
+
+    A signature is the tuple's own color and the sorted multiset of its n
+    substitutions, each one flat int: the colors (c_0, ..., c_{k-1}) of the
+    substituted tuples as the bit fields sum_p c_p << (p * bits), bits =
+    max(colors).bit_length(). For k = 1 the pair type of (v, w)
+    (:func:`_pair_type_rows`) is the field above c_0; v's own label is left
+    out, as the own color, compared first, fixes it. Every field is below
+    2^bits, so each int is injective and orders substitutions exactly as the
+    tuple (pair type, c_{k-1}, ..., c_0) does: the sorted multisets, and with
+    them :func:`refine`'s ranks, are those of that nested-tuple form. Fields
+    are joined with ``|``, which allocates no carry digit, so an int below
+    2^60 takes 32 bytes where a sum would take 48."""
     n = grf.n
-    strides = [(p, n ** (k - 1 - p)) for p in range(k - 1, -1, -1)]
     if k == 1:
-        pair_types = [[_isotp(grf, (v, w)) for w in range(n)] for v in range(n)]
+        def signatures(colors):
+            bits = max(colors, default=0).bit_length()
+            col = colors[base: base + n]
+            for idx, row in enumerate(_pair_type_rows(grf), base):
+                yield colors[idx], tuple(sorted(map(or_, [x << bits for x in row], col)))
+
+        return signatures
+    strides = [(p, n ** (k - 1 - p)) for p in range(k)]
 
     def signatures(colors):
+        bits = max(colors, default=0).bit_length()
+        shifted = [colors] + [[c << bits * p for c in colors] for p in range(1, k)]
         for idx, t in enumerate(tuples, base):
-            columns = [colors[idx - t[p] * s: idx + (n - t[p]) * s: s] for p, s in strides]
-            if k == 1:
-                columns.insert(0, pair_types[t[0]])
-            yield colors[idx], tuple(sorted(zip(*columns)))
+            subs = None
+            for p, s in strides:
+                col = shifted[p][idx - t[p] * s: idx + (n - t[p]) * s: s]
+                subs = col if subs is None else map(or_, subs, col)
+            yield colors[idx], tuple(sorted(subs))
 
     return signatures
 
@@ -210,7 +249,7 @@ def k_wl_trace(
     ng = len(tuples_g)
     sig_g = _tuple_signatures(g, k, tuples_g, 0)
     sig_h = _tuple_signatures(h, k, tuples_h, ng)
-    init = _first_seen_ids([_isotp(g, t) for t in tuples_g] + [_isotp(h, t) for t in tuples_h])
+    init = _first_seen_ids(_initial_types(g, k, tuples_g) + _initial_types(h, k, tuples_h))
     rounds = refine(init, lambda colors: [*sig_g(colors), *sig_h(colors)])
     limit = ng + len(tuples_h) if max_rounds is None else max_rounds
 

@@ -57,6 +57,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_limited(*argv, timeout=60):
+    """The CLI in a child process under a 1 GB address-space limit, so running
+    out of memory shows as a failed run rather than as a stalled machine."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from homcount.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=limit_memory)
+
+
 class TestWl:
     def test_plain_not_distinguished(self, capsys, fixture_files):
         a, b = fixture_files
@@ -102,6 +123,20 @@ class TestWl:
         code, out, err = run(capsys, "wl", path, path, "--variant", "kwl", "--k", "2")
         assert code == 3 and out == ""
         assert err.startswith("error: guard:") and err.count("\n") == 1
+
+    def test_kwl3_on_cfi_k5_within_one_gigabyte(self, tmp_path):
+        # CFI(K5), two 40-vertex graphs: a 3-WL round builds 5.12M signature
+        # entries (about 250 MB peak); under a 1 GB address-space limit it
+        # runs to stability, not distinguished
+        from homcount.families import cfi_pair, clique_pattern
+
+        pair = cfi_pair(clique_pattern(5))
+        paths = [write(tmp_path / f"{g.id}.jsonl", json.dumps(g.to_record()) + "\n")
+                 for g in (pair.g, pair.h)]
+        out = run_limited("wl", *paths, "--variant", "kwl", "--k", "3", timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"pair": [pair.g.id, pair.h.id],
+                                          "distinguished": False, "round": None}
 
     @pytest.mark.parametrize("k,code,kind", [
         ("0", 2, "invalid"), ("-1", 2, "invalid"), ("4", 3, "guard"),
@@ -193,29 +228,14 @@ class TestFeatures:
 
     @pytest.mark.parametrize("command", ["features", "count"])
     def test_huge_vertex_count_trips_guard(self, tmp_path, k3_file, command):
-        # in a child process under a 1 GB address-space limit: the guard trips
-        # before anything is built per vertex, so no MemoryError traceback
-        import os
-        import resource
-        import subprocess
-        import sys
-
+        # under a 1 GB address-space limit: the guard trips before anything
+        # is built per vertex, so no MemoryError traceback
         huge = write(tmp_path / "huge.jsonl", '{"id": "g", "n": 1000000000000, "edges": []}\n')
         argv = {"features": ["features", huge, "--patterns", k3_file],
                 "count": ["count", "--pattern", k3_file, "--graph", huge]}[command]
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys; from homcount.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", *argv],
-            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+        out = run_limited(*argv)
         assert out.returncode == 3 and out.stdout == ""
-        assert out.stderr == ("error: guard: graphs limited to 4194304 vertices, "
+        assert out.stderr == (f"error: guard: {huge}:1: graphs limited to 4194304 vertices, "
                               "got 1000000000000\n")
 
     def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):

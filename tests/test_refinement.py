@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcount.algebra import SizeGuardError
 from homcount.counting import hom_count_brute
-from homcount.graphs import Graph, RootedPattern, normalize_edges
+from homcount.graphs import Graph, RootedPattern, normalize_edges, refine
 from homcount.refinement import (
     Coloring,
     Verdict,
@@ -69,6 +72,92 @@ KWL_PINNED = [
     (None, None, None), (1, 1, 0), (None, None, None), (3, 1, 0), (1, 1, 0),
     (2, 1, 0), (None, None, None), (1, 1, 0), (None, None, None), (2, 1, 0),
 ]
+
+
+# SHA-256 of every k_wl_trace history, stability flag and verdict over
+# kwl_corpus(), computed by the k-WL implementation whose signatures were
+# sorted tuples of substituted colour tuples.
+KWL_HISTORY_DIGEST = "0c32021aed92506fc1b3df4023dd46b1e7e3c16d8c3dbcaadae859282707db34"
+
+
+def kwl_corpus():
+    """(k, g, h): the generated families at each k their round fits in 4M
+    entries, then 200 random labelled pairs; 230 cases."""
+    from homcount.families import (build_graph, cfi_pair, clique_pattern, cycle_hierarchy_pair,
+                                   cycle_union_pair, delayed_triangle_pair,
+                                   wl_equivalent_triangle_pair)
+
+    pairs = [*(cycle_union_pair(m) for m in range(3, 8)), cycle_hierarchy_pair(4),
+             cycle_hierarchy_pair(5), cfi_pair(clique_pattern(3)), cfi_pair(clique_pattern(4)),
+             wl_equivalent_triangle_pair(), delayed_triangle_pair()]
+    for pair in pairs:
+        for k in (1, 2, 3):
+            if pair.g.n ** (k + 1) + pair.h.n ** (k + 1) <= 4_000_000:
+                yield k, pair.g, pair.h
+    rng = random.Random(7)
+    for i in range(200):
+        n = rng.randint(0, 9)
+        k = rng.choice((1, 2, 3))
+        g, h = (build_graph(f"r{i}{s}", n,
+                            [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.35],
+                            [rng.randrange(3) for _ in range(n)]) for s in "ab")
+        yield k, g, h
+
+
+def nested_tuple_trace(g, h, k):
+    """Reference folklore k-WL: the tuple-of-tuples signatures k_wl_trace's
+    int encoding stands for, built by dictionary lookups, for at most as many
+    rounds as items; returns both histories and the verdict round (None when
+    not distinguished)."""
+    def isotp(x, t):
+        pairs = list(itertools.combinations(range(len(t)), 2))
+        return (tuple(x.labels[v] for v in t), tuple(t[i] == t[j] for i, j in pairs),
+                tuple(int(t[j] in x.adjacency[t[i]]) for i, j in pairs))
+
+    items = [(x, t) for x in (g, h) for t in itertools.product(range(x.n), repeat=k)]
+    index = {(id(x), t): i for i, (x, t) in enumerate(items)}
+
+    def signatures(colors):
+        out = []
+        for i, (x, t) in enumerate(items):
+            subs = []
+            for w in range(x.n):
+                sub = tuple(colors[index[id(x), t[:p] + (w,) + t[p + 1:]]]
+                            for p in range(k - 1, -1, -1))
+                subs.append((isotp(x, (t[0], w)), *sub) if k == 1 else sub)
+            out.append((colors[i], tuple(sorted(subs))))
+        return out
+
+    types = {}
+    init = [types.setdefault(isotp(x, t), len(types)) for x, t in items]
+    ng = g.n ** k
+    history, at_round = [], None
+    rounds = itertools.islice(refine(init, signatures), len(items))
+    for d, colors in enumerate(itertools.chain([init], rounds)):
+        history.append(colors)
+        if sorted(colors[:ng]) != sorted(colors[ng:]):
+            at_round = d
+            break
+    return [c[:ng] for c in history], [c[ng:] for c in history], at_round
+
+
+@st.composite
+def labelled_pairs(draw, max_n=8):
+    """Two labelled graphs: a shuffled copy (refined to stability), one of
+    the same size, or any; labels include 2^32 - 1."""
+    def graph(gid, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [e for e in pairs if draw(st.booleans())]
+        labels = [draw(st.sampled_from((0, 1, 2, (1 << 32) - 1))) for _ in range(n)]
+        return build(n, edges, labels, gid)
+
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    g = graph("a", n)
+    kind = draw(st.sampled_from(("copy", "same", "any")))
+    if kind == "copy":
+        return g, g.relabeled(draw(st.permutations(range(n))), "b")
+    return g, graph("b", n if kind == "same" else draw(st.integers(0, max_n)))
 
 
 def partition(colors):
@@ -253,6 +342,26 @@ class TestKWl:
                 verdict = k_wl(g, h, k)
                 assert (verdict.distinguished, verdict.at_round) == (
                     at_round is not None, at_round), (seed, k)
+
+    def test_colour_histories_pinned(self):
+        lines = []
+        for k, g, h in kwl_corpus():
+            a, b, v = k_wl_trace(g, h, k)
+            lines.append(repr((k, a.history, b.history, a.stable, b.stable,
+                               v.distinguished, v.at_round)))
+        assert len(lines) == 230
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KWL_HISTORY_DIGEST
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @given(pair=labelled_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_nested_tuple_reference(self, k, pair):
+        g, h = pair
+        a, b, verdict = k_wl_trace(g, h, k)
+        hist_g, hist_h, at_round = nested_tuple_trace(g, h, k)
+        assert [list(c) for c in a.history] == hist_g
+        assert [list(c) for c in b.history] == hist_h
+        assert verdict.at_round == at_round
 
     def test_trace_invariants(self):
         tg, th, verdict = k_wl_trace(G1, H1, 2)
