@@ -28,12 +28,13 @@ from homcount.families import (
     delayed_triangle_pair,
     wl_equivalent_triangle_pair,
 )
-from homcount.graphs import LabelAlphabet, ParseError, RootedPattern, parse_pattern
+from homcount.graphs import LabelAlphabet, ParseError, RootedPattern
 from homcount.pipeline import (
     advise,
     compute_features,
     load_dataset,
     load_pattern_set,
+    pattern_at,
     read_json,
     write_csv,
 )
@@ -139,13 +140,11 @@ def _first_graph(path: str, alphabet: LabelAlphabet):
 
 def _first_pattern(path: str, alphabet: LabelAlphabet) -> RootedPattern:
     data = read_json(path)
-    if isinstance(data, list):
-        if not data:
-            raise ParseError(f"{path}: empty pattern set", field="record")
-        data = data[0]
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: pattern record must be a JSON object", field="record")
-    return parse_pattern(data, alphabet)
+    if not isinstance(data, list):
+        return pattern_at(path, data, alphabet)
+    if not data:
+        raise ParseError(f"{path}: empty pattern set", field="record")
+    return pattern_at(f"{path}[0]", data[0], alphabet)
 
 
 def _cmd_features(args) -> int:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from homcount.graphs import Graph, RootedPattern, normalize_edges
+from homcount.graphs import Graph, RootedPattern, check_vertex_count, normalize_edges
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,7 @@ def bowtie_pattern() -> RootedPattern:
 
 
 def disjoint_cycles(gid: str, copies: int, length: int) -> Graph:
+    check_vertex_count(copies * length)
     edges = []
     for c in range(copies):
         base = c * length
@@ -153,6 +154,7 @@ def cfi_pair(p: RootedPattern, distinguished: Optional[int] = None) -> GraphPair
         raise ValueError("distinguished vertex out of range")
     if pg.degree(v1) < 2:
         raise ValueError("distinguished vertex needs degree >= 2")
+    check_vertex_count(expected_cfi_size(p))
 
     base_id = pg.id or "p"
     twisted = assemble_parity_gadget(p, f"cfi-{base_id}-twisted", v1)

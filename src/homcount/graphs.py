@@ -20,6 +20,12 @@ class SizeGuardError(RuntimeError):
     """An enumeration/DP size guard tripped; the input is out of the tool's regime."""
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise SizeGuardError above VERTEX_GUARD; call before anything is built per vertex."""
+    if n > VERTEX_GUARD:
+        raise SizeGuardError(f"graphs limited to {VERTEX_GUARD} vertices, got {n}")
+
+
 class ParseError(ValueError):
     """Malformed graph or pattern record; ``field`` names the offending part."""
 
@@ -254,8 +260,7 @@ def parse_graph(line, alphabet: Optional[LabelAlphabet] = None) -> Graph:
     n = rec.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError("'n' must be a nonnegative integer", field="n")
-    if n > VERTEX_GUARD:  # before anything is built per vertex
-        raise SizeGuardError(f"graphs limited to {VERTEX_GUARD} vertices, got {n}")
+    check_vertex_count(n)
     raw_edges = rec.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list of pairs", field="edges")
@@ -299,31 +304,6 @@ def serialize_pattern(p: RootedPattern, alphabet: Optional[LabelAlphabet] = None
 
 # --- colour refinement ----------------------------------------------------
 
-def refine(
-    colors: Sequence[int], signatures: Callable[[Sequence[int]], list]
-) -> Iterator[list[int]]:
-    """Colour refinement over arbitrary items, the round loop behind folklore
-    k-WL; vertex refinement runs :func:`refine_cells`.
-
-    ``signatures(colors)`` returns one hashable, comparable signature per item
-    that starts with the item's own colour. Each round recolours every item by
-    the rank of its signature among the round's sorted distinct signatures and
-    yields the new colours; the generator stops after the first round that
-    splits no class.
-    """
-    classes = len(set(colors))
-    while True:
-        sigs = signatures(colors)
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        split = len(rank) > classes
-        classes = len(rank)
-        del sigs, rank  # only one round's signatures are ever alive
-        yield colors
-        if not split:
-            return
-
-
 def cells_of(colors: Sequence) -> list[list[int]]:
     """One cell per colour, in colour order, each listing its items in order."""
     buckets: dict = {}
@@ -332,42 +312,55 @@ def cells_of(colors: Sequence) -> list[list[int]]:
     return [buckets[c] for c in sorted(buckets)]
 
 
+def neighbour_signer(adjacency: Sequence[Sequence[int]]) -> Callable:
+    """The 1-WL signer for :func:`refine_cells`: a vertex's sorted neighbour colours."""
+    def signer(colors):
+        get = colors.__getitem__
+        return lambda cell: [tuple(sorted(map(get, adjacency[v]))) for v in cell]
+    return signer
+
+
 def refine_cells(
-    adjacency: Sequence[Sequence[int]],
+    signer: Callable[[Sequence[int]], Callable[[list[int]], Iterable]],
     cells: Sequence[list[int]],
+    adjacency: Optional[Sequence[Sequence[int]]] = None,
     changed: Optional[Iterable[int]] = None,
 ) -> Iterator[tuple[list[int], list[list[int]]]]:
-    """1-WL rounds from the ordered partition ``cells``, behind canonical codes
-    and 1-dim and hom-augmented refinement: each round's ``(colors, cells)``,
-    colours as :func:`refine` gives them for neighbour signatures, up to the
-    closing round that splits nothing. Only cells next to ``changed`` (default:
-    all) can split in the first round. Cells keep their items' order."""
-    # Re-signing only touched cells is exact. A signature starts with the
-    # vertex's own colour, so a round's ranking is each old cell's sorted
-    # distinct neighbour tuples, concatenated in cell order. A cell can split
-    # in round r+1 only if a member has a neighbour in a cell that split in
-    # round r; any other cell keeps one colour, shifted by earlier splits.
-    colors = [0] * len(adjacency)
+    """Colour refinement of items 0..N-1 from the ordered partition ``cells``,
+    the one round loop behind canonical codes and all refinement variants.
+    ``signer(colors)`` maps a cell to one comparable signature per item. Each
+    round splits cells by their items' sorted distinct signatures and yields
+    ``(colors, cells)``, colour = cell index, up to the closing round that
+    splits nothing. It re-signs every cell of two or more items, or with
+    ``adjacency`` those next to ``changed`` (default: all) or the last splits."""
+    # Exact: colours are the ranks of (own colour, signature) over all items,
+    # as the cell, not the signature, carries the own colour. With adjacency,
+    # a cell can split in round r+1 only if a member has a neighbour in a cell
+    # that split in round r; any other cell keeps one colour.
+    colors = [0] * (len(adjacency) if adjacency is not None else sum(map(len, cells)))
     for c, cell in enumerate(cells):
         for v in cell:
             colors[v] = c
     while True:
-        touched = range(len(cells)) if changed is None else {
+        touched = range(len(cells)) if adjacency is None or changed is None else {
             colors[u] for w in changed for u in adjacency[w]}
-        changed, parts = [], {}
+        changed, parts, sign = [], {}, None
         for c in touched:
             if len(cells[c]) > 1:
-                sigs: dict[tuple, list[int]] = {}
-                for v in cells[c]:
-                    sigs.setdefault(tuple(sorted([colors[u] for u in adjacency[v]])), []).append(v)
+                sign = sign or signer(colors)
+                sigs: dict = {}
+                for v, s in zip(cells[c], sign(cells[c])):
+                    sigs.setdefault(s, []).append(v)
                 if len(sigs) > 1:
                     parts[c] = [sigs[s] for s in sorted(sigs)]
                     changed += cells[c]
-        if parts:
-            cells = [p for c, cell in enumerate(cells) for p in parts.get(c, (cell,))]
-            colors = [0] * len(adjacency)
-            for c, cell in enumerate(cells):
-                for v in cell:
+        if parts:  # cells before the first split keep their colours
+            first = min(parts)
+            cells = cells[:first] + [
+                p for c in range(first, len(cells)) for p in parts.get(c, (cells[c],))]
+            colors = colors.copy()
+            for c in range(first, len(cells)):
+                for v in cells[c]:
                     colors[v] = c
         yield colors, cells
         if not parts:
@@ -414,15 +407,16 @@ def canonical_code(g: Graph, root: Optional[int] = None) -> bytes:
     if root is not None:  # the root's colour is the smallest
         cells = [[root], *filter(None, ([v for v in c if v != root] for c in cells))]
     best: list[Optional[bytes]] = [None]
+    signer = neighbour_signer(g.adjacency)
 
     def search(cells: Sequence[list[int]], changed: Optional[list[int]]) -> None:
-        for _, cells in refine_cells(g.adjacency, cells, changed):
+        for _, cells in refine_cells(signer, cells, g.adjacency, changed):
             pass  # keep the stable partition, the last one yielded
-        t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if t is None:
+        if len(cells) == g.n:  # discrete: a leaf
             code = _encode_leaf(g, [cell[0] for cell in cells], root)
             best[0] = code if best[0] is None else min(best[0], code)
             return
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
         target = cells[t]
         tried: list[int] = []
         for v in target:

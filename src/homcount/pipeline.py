@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -32,6 +33,17 @@ from homcount.graphs import (
 )
 
 
+@contextmanager
+def _located(where: str):
+    """Prefix a ParseError or SizeGuardError raised inside with ``where``."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}", field=exc.field) from exc
+    except SizeGuardError as exc:
+        raise SizeGuardError(f"{where}: {exc}") from exc
+
+
 def load_dataset(path: str, alphabet: LabelAlphabet) -> list[Graph]:
     """JSON Lines, one graph per line; blank lines ignored; duplicate ids rejected."""
     graphs = []
@@ -41,12 +53,8 @@ def load_dataset(path: str, alphabet: LabelAlphabet) -> list[Graph]:
             line = line.strip()
             if not line:
                 continue
-            try:
+            with _located(f"{path}:{lineno}"):
                 g = parse_graph(line, alphabet)
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}", field=exc.field) from exc
-            except SizeGuardError as exc:
-                raise SizeGuardError(f"{path}:{lineno}: {exc}") from exc
             if g.id in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate graph id {g.id!r}", field="id")
             seen.add(g.id)
@@ -69,15 +77,15 @@ def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
     data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(f"{path}: pattern set must be a JSON array", field="record")
-    out = []
-    for i, rec in enumerate(data):
-        try:
-            if not isinstance(rec, dict):
-                raise ParseError("pattern record must be a JSON object", field="record")
-            out.append(parse_pattern(rec, alphabet))
-        except ParseError as exc:
-            raise ParseError(f"{path}[{i}]: {exc}", field=exc.field) from exc
-    return out
+    return [pattern_at(f"{path}[{i}]", rec, alphabet) for i, rec in enumerate(data)]
+
+
+def pattern_at(where: str, rec, alphabet: LabelAlphabet) -> RootedPattern:
+    """The pattern record ``rec``; its errors are prefixed with ``where``."""
+    with _located(where):
+        if not isinstance(rec, dict):
+            raise ParseError("pattern record must be a JSON object", field="record")
+        return parse_pattern(rec, alphabet)
 
 
 EXACT_LIMIT = 10**13  # counts up to this survive the log-z round trip exactly

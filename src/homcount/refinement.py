@@ -1,11 +1,12 @@
 """Color-refinement engines: plain 1-round-based refinement, the hom-count
 augmented variant, and folklore k-dimensional refinement for k in {1,2,3}.
 
-All three refine the disjoint union of the two graphs (vertices through
-:func:`homcount.graphs.refine_cells`, k-tuples through
-:func:`homcount.graphs.refine`), so each round ranks the signatures of both
-graphs together and color ids are comparable across them. Ids are exact: two
-items share a round's id iff their signatures are equal.
+All three refine the disjoint union of the two graphs, vertices and k-tuples
+alike, through the one round loop :func:`homcount.graphs.refine_cells`, so
+each round ranks the signatures of both graphs together and color ids are
+comparable across them. Ids are exact: two items share a round's id iff they
+shared the previous round's id and their signatures are equal. k-WL signs one
+cell at a time and skips singleton cells.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from typing import Optional, Sequence
 
 from homcount.algebra import SizeGuardError
 from homcount.counting import hom_vector
-from homcount.graphs import Graph, RootedPattern, cells_of, refine, refine_cells
+from homcount.graphs import Graph, RootedPattern, cells_of, neighbour_signer, refine_cells
 
-# Cap on the substituted-tuple entries one k-WL round builds, g.n^(k+1) +
-# h.n^(k+1). Measured peak memory is at most 50 bytes per entry (5.65M entries
-# at k=3 with all colors distinct: 281 MB process peak; 5.97M at k=2: 258 MB),
-# so a run stays within about 350 MB.
+# Cap on the substituted-tuple entries one k-WL round signs, g.n^(k+1) +
+# h.n^(k+1). A round signs one cell at a time and keeps only that cell's
+# distinct signatures, so memory stays far below the entry count: process
+# peaks measured at most 70 MB (5.65M entries at k=3, G(41, 1/2) against a
+# shuffled copy; 5.85M at k=2: 36 MB; CFI(K5) at k=3: 47 MB).
 KWL_ENTRY_GUARD = 6_000_000
 
 
@@ -131,7 +133,7 @@ def wl_refine(
     )
     history = [_first_seen_ids([*init_g, *init_h])]
     limit = g.n + h.n if max_rounds is None else max_rounds
-    rounds = refine_cells(adjacency, cells_of(history[0]))
+    rounds = refine_cells(neighbour_signer(adjacency), cells_of(history[0]), adjacency)
     history += (colors for colors, _ in islice(rounds, limit))
     return _split_colorings(g, h, history, g.n)
 
@@ -154,18 +156,6 @@ def f_wl(
 # --- folklore k-WL -----------------------------------------------------------
 
 
-def _pair_type_rows(g: Graph):
-    """Per vertex v, the type of each pair (v, w) short of v's own label, as the
-    int ``(l_w << 2) | (v == w) << 1 | adj`` (w = 0, ..., n - 1)."""
-    low = [lab << 2 for lab in g.labels]
-    for v, nbrs in enumerate(g.adjacency):
-        row = low.copy()
-        row[v] |= 2
-        for w in nbrs:
-            row[w] |= 1
-        yield row
-
-
 def _initial_types(g: Graph, k: int, tuples: list) -> list:
     """Isomorphism type of each k-tuple, equal across graphs iff the tuples'
     labels, equalities and adjacencies agree: the label (k = 1), the pair type
@@ -175,51 +165,68 @@ def _initial_types(g: Graph, k: int, tuples: list) -> list:
     if k == 1:
         return list(g.labels)
     n = g.n
-    table = [(lab << 34) | x for lab, row in zip(g.labels, _pair_type_rows(g)) for x in row]
+    table = [(lv << 34) | (lw << 2) | (v == w) << 1 | (mask >> w & 1)
+             for v, (lv, mask) in enumerate(zip(g.labels, g.adj_masks))
+             for w, lw in enumerate(g.labels)]
     if k == 2:
         return table
     return [(table[a * n + b], table[b * n + c], table[c * n + a]) for a, b, c in tuples]
 
 
-def _tuple_signatures(grf: Graph, k: int, tuples: list, base: int):
-    """Signatures for :func:`refine` over the k-tuples of one graph, numbered
-    from ``base`` in mixed radix grf.n, so substituting vertex w at position p
-    moves a tuple's index by (w - t[p]) * n^(k-1-p) and the colors of all n
-    substitutions are one strided slice.
+def _tuple_signer(g: Graph, h: Graph, k: int, tuples: list):
+    """The :func:`homcount.graphs.refine_cells` signer over ``tuples``, the
+    k-tuples of g and then of h. Within a graph of n vertices the numbering
+    is mixed radix n, so substituting vertex w at position p moves a tuple's
+    index by (w - t[p]) * n^(k-1-p) and the colors of all n substitutions are
+    one strided slice.
 
-    A signature is the tuple's own color and the sorted multiset of its n
-    substitutions, each one flat int: the colors (c_0, ..., c_{k-1}) of the
-    substituted tuples as the bit fields sum_p c_p << (p * bits), bits =
-    max(colors).bit_length(). For k = 1 the pair type of (v, w)
-    (:func:`_pair_type_rows`) is the field above c_0; v's own label is left
-    out, as the own color, compared first, fixes it. Every field is below
-    2^bits, so each int is injective and orders substitutions exactly as the
-    tuple (pair type, c_{k-1}, ..., c_0) does: the sorted multisets, and with
-    them :func:`refine`'s ranks, are those of that nested-tuple form. Fields
-    are joined with ``|``, which allocates no carry digit, so an int below
-    2^60 takes 32 bytes where a sum would take 48."""
-    n = grf.n
+    A signature is the sorted multiset of a tuple's n substitutions, each one
+    flat int: the colors (c_0, ..., c_{k-1}) of the substituted tuples as the
+    bit fields sum_p c_p << (p * bits), bits = max(colors).bit_length(), with
+    the pair type ``(l_w << 2) | (v == w) << 1 | adj`` of (v, w) above c_0 for
+    k = 1. The cell fixes the own color, and with it v's label. Every field is
+    below 2^bits, so each int is injective and orders substitutions exactly as
+    the tuple (pair type, c_{k-1}, ..., c_0) does: the ranks are those of that
+    nested-tuple form. ``|`` allocates no carry digit, so an int below 2^60
+    takes 32 bytes where a sum would take 48."""
+    ng = g.n ** k
     if k == 1:
-        def signatures(colors):
+        low = [lab << 2 for lab in g.labels + h.labels]
+
+        def signer(colors):
             bits = max(colors, default=0).bit_length()
-            col = colors[base: base + n]
-            for idx, row in enumerate(_pair_type_rows(grf), base):
-                yield colors[idx], tuple(sorted(map(or_, [x << bits for x in row], col)))
+            typed = [x << bits | c for x, c in zip(low, colors)]
 
-        return signatures
-    strides = [(p, n ** (k - 1 - p)) for p in range(k)]
+            def sign(cell):
+                for v in cell:
+                    grf, base = (g, 0) if v < ng else (h, ng)
+                    row = typed[base: base + grf.n]
+                    row[v - base] |= 2 << bits
+                    for w in grf.adjacency[v - base]:
+                        row[w] |= 1 << bits
+                    yield tuple(sorted(row))
 
-    def signatures(colors):
+            return sign
+
+        return signer
+    shapes = [(x.n, [x.n ** (k - 1 - p) for p in range(k)]) for x in (g, h)]
+
+    def signer(colors):
         bits = max(colors, default=0).bit_length()
         shifted = [colors] + [[c << bits * p for c in colors] for p in range(1, k)]
-        for idx, t in enumerate(tuples, base):
-            subs = None
-            for p, s in strides:
-                col = shifted[p][idx - t[p] * s: idx + (n - t[p]) * s: s]
-                subs = col if subs is None else map(or_, subs, col)
-            yield colors[idx], tuple(sorted(subs))
 
-    return signatures
+        def sign(cell):
+            for idx in cell:
+                n, strides = shapes[idx >= ng]
+                subs = None
+                for col, tp, s in zip(shifted, tuples[idx], strides):
+                    sub = col[idx - tp * s: idx + (n - tp) * s: s]
+                    subs = sub if subs is None else map(or_, subs, sub)
+                yield tuple(sorted(subs))
+
+        return sign
+
+    return signer
 
 
 def k_wl_trace(
@@ -247,15 +254,13 @@ def k_wl_trace(
     tuples_g = list(product(range(g.n), repeat=k))
     tuples_h = list(product(range(h.n), repeat=k))
     ng = len(tuples_g)
-    sig_g = _tuple_signatures(g, k, tuples_g, 0)
-    sig_h = _tuple_signatures(h, k, tuples_h, ng)
     init = _first_seen_ids(_initial_types(g, k, tuples_g) + _initial_types(h, k, tuples_h))
-    rounds = refine(init, lambda colors: [*sig_g(colors), *sig_h(colors)])
-    limit = ng + len(tuples_h) if max_rounds is None else max_rounds
+    rounds = refine_cells(_tuple_signer(g, h, k, tuples_g + tuples_h), cells_of(init))
+    limit = len(init) if max_rounds is None else max_rounds
 
     history = []
     verdict = Verdict(False, None)
-    for d, colors in enumerate(chain([init], islice(rounds, limit))):
+    for d, colors in enumerate(chain([init], (c for c, _ in islice(rounds, limit)))):
         history.append(colors)
         if sorted(colors[:ng]) != sorted(colors[ng:]):
             verdict = Verdict(True, d)

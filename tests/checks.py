@@ -1,7 +1,34 @@
-"""Checkers shared by several test modules."""
+"""Checkers and references shared by several test modules."""
+
+from typing import Callable, Iterator, Sequence
 
 from homcount.algebra import TreeDecomposition
 from homcount.graphs import Graph
+
+
+def refine(
+    colors: Sequence[int], signatures: Callable[[Sequence[int]], list]
+) -> Iterator[list[int]]:
+    """Reference colour refinement over arbitrary items, signing every item
+    every round.
+
+    ``signatures(colors)`` returns one hashable, comparable signature per item
+    that starts with the item's own colour. Each round recolours every item by
+    the rank of its signature among the round's sorted distinct signatures and
+    yields the new colours; the generator stops after the first round that
+    splits no class.
+    """
+    classes = len(set(colors))
+    while True:
+        sigs = signatures(colors)
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        split = len(rank) > classes
+        classes = len(rank)
+        del sigs, rank  # only one round's signatures are ever alive
+        yield colors
+        if not split:
+            return
 
 
 def check_decomposition(g: Graph, td: TreeDecomposition):

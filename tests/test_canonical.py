@@ -1,7 +1,7 @@
 """Canonical codes and vertex refinement against the plain round loop.
 
 The reference search below refines every node from scratch with
-``graphs.refine`` over all vertices, rebuckets its colours into cells and
+``checks.refine`` over all vertices, rebuckets its colours into cells and
 encodes a leaf bit by bit. ``canonical_code`` and ``wl_refine`` must give
 the same bytes and the same colour histories.
 """
@@ -26,9 +26,11 @@ from homcount.families import (
     disjoint_cycles,
     wl_equivalent_triangle_pair,
 )
-from homcount.graphs import Graph, canonical_code, normalize_edges, refine
+from homcount.graphs import Graph, canonical_code, normalize_edges
 from homcount.refinement import wl_refine
 from homcount.trees import EnumerationBudget, enumerate_pattern_trees, flatten
+
+from checks import refine
 
 
 # --- reference: refine every node from scratch -------------------------------

@@ -57,9 +57,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv, timeout=60):
-    """The CLI in a child process under a 1 GB address-space limit, so running
-    out of memory shows as a failed run rather than as a stalled machine."""
+def run_limited(*argv, timeout=60, limit=1 << 30):
+    """The CLI in a child process under an address-space limit of ``limit``
+    bytes (default 1 GB), so running out of memory shows as a failed run
+    rather than as a stalled machine."""
     import os
     import resource
     import subprocess
@@ -70,7 +71,7 @@ def run_limited(*argv, timeout=60):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
         [sys.executable, "-c", "import sys; from homcount.cli import main; "
@@ -124,16 +125,17 @@ class TestWl:
         assert code == 3 and out == ""
         assert err.startswith("error: guard:") and err.count("\n") == 1
 
-    def test_kwl3_on_cfi_k5_within_one_gigabyte(self, tmp_path):
-        # CFI(K5), two 40-vertex graphs: a 3-WL round builds 5.12M signature
-        # entries (about 250 MB peak); under a 1 GB address-space limit it
-        # runs to stability, not distinguished
+    def test_kwl3_on_cfi_k5_within_200_megabytes(self, tmp_path):
+        # CFI(K5), two 40-vertex graphs: a 3-WL round signs 5.12M signature
+        # entries, but one cell at a time (under 50 MB peak); under a 200 MB
+        # address-space limit it runs to stability, not distinguished
         from homcount.families import cfi_pair, clique_pattern
 
         pair = cfi_pair(clique_pattern(5))
         paths = [write(tmp_path / f"{g.id}.jsonl", json.dumps(g.to_record()) + "\n")
                  for g in (pair.g, pair.h)]
-        out = run_limited("wl", *paths, "--variant", "kwl", "--k", "3", timeout=120)
+        out = run_limited("wl", *paths, "--variant", "kwl", "--k", "3", timeout=120,
+                          limit=200 << 20)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {"pair": [pair.g.id, pair.h.id],
                                           "distinguished": False, "round": None}
@@ -189,6 +191,21 @@ class TestGen:
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("family,size", [
+        ("cycle-union", 100001 * 100002), ("cycle-hierarchy", 3000 * 3001), ("cfi", 2 ** 39 + 40),
+    ])
+    def test_huge_family_trips_guard(self, tmp_path, family, size):
+        # under a 1 GB address-space limit: the vertex count is checked before
+        # any vertex is built, so one guard line, no MemoryError traceback
+        star = write(tmp_path / "star.json", json.dumps(
+            [{"id": "S40", "n": 41, "edges": [[0, v] for v in range(1, 41)], "root": 0}]))
+        param = {"cycle-union": ["--m", "100000"], "cycle-hierarchy": ["--k", "3000"],
+                 "cfi": ["--pattern", star]}[family]
+        out_path = tmp_path / "out.jsonl"
+        out = run_limited("gen", "--family", family, *param, "--output", str(out_path))
+        assert out.returncode == 3 and out.stdout == "" and not out_path.exists()
+        assert out.stderr == f"error: guard: graphs limited to 4194304 vertices, got {size}\n"
 
 
 class TestFeatures:
@@ -446,6 +463,24 @@ class TestMalformedPatterns:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: parse:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("record,code,message", [
+        ({"id": "big", "n": 5_000_000, "edges": [], "root": 0}, 3,
+         "guard: {}: graphs limited to 4194304 vertices, got 5000000"),
+        ({"id": "badroot", "n": 3, "edges": [[0, 1]], "root": 7}, 2,
+         "parse: {}: root 7 out of range"),
+    ], ids=["guard", "parse"])
+    # a pattern set is a JSON array; count and cfi also take one bare record
+    @pytest.mark.parametrize("command,listed", [(c, True) for c in COMMANDS] + [
+        ("count", False), ("cfi", False)])
+    def test_error_names_the_file(self, capsys, tmp_path, fixture_files, command, listed,
+                                  record, code, message):
+        a, b = fixture_files
+        p = write(tmp_path / "pat.json", json.dumps([record] if listed else record))
+        argv = [{"A": a, "B": b, "P": p}.get(x, x) for x in self.COMMANDS[command]]
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        assert err == "error: " + message.format(p + "[0]" if listed else p) + "\n"
 
 
 class TestAdvise:

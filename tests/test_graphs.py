@@ -12,13 +12,18 @@ from homcount.graphs import (
     ParseError,
     RootedPattern,
     canonical_code,
+    cells_of,
     is_isomorphic,
+    neighbour_signer,
     normalize_edges,
     parse_graph,
     parse_pattern,
     serialize_graph,
+    refine_cells,
     serialize_pattern,
 )
+
+from checks import refine
 
 
 def build(n, edges, labels=None, gid="g"):
@@ -299,3 +304,45 @@ class TestLabelMasks:
         masks = g.label_masks
         assert time.perf_counter() - start < 0.5
         assert masks == {0: (1 << n) - 1}
+
+
+@st.composite
+def dependency_lists(draw, symmetric):
+    """Initial colours and, per item, a list of items it reads: arbitrary
+    (repeats, self-loops, one-way), or the adjacency lists of a random graph."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    init = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if symmetric:
+        deps = [[] for _ in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            if draw(st.booleans()):
+                deps[u].append(v)
+                deps[v].append(u)
+    else:
+        deps = [draw(st.lists(st.integers(0, n - 1), max_size=5)) if n else [] for _ in range(n)]
+    return init, deps
+
+
+class TestRefineCells:
+    """``refine_cells`` against the reference loop that signs every item every
+    round with its own colour first."""
+
+    @staticmethod
+    def check(init, deps, adjacency):
+        reference = list(refine(init, lambda colors: [
+            (colors[i], tuple(sorted(colors[j] for j in deps[i]))) for i in range(len(init))]))
+        rounds = list(refine_cells(neighbour_signer(deps), cells_of(init), adjacency))
+        assert [colors for colors, _ in rounds] == reference
+        assert all(cells == cells_of(colors) for colors, cells in rounds)
+
+    @given(dependency_lists(symmetric=False))
+    @settings(max_examples=200, deadline=None)
+    def test_without_adjacency_any_dependencies(self, case):
+        init, deps = case
+        self.check(init, deps, None)
+
+    @given(dependency_lists(symmetric=True))
+    @settings(max_examples=200, deadline=None)
+    def test_with_adjacency_symmetric_dependencies(self, case):
+        init, deps = case
+        self.check(init, deps, deps)
