@@ -335,7 +335,9 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
 
     Fits: m * R**max(2, b-1) <= ``DENSE_LIMIT``. The kernel keeps a dense
     adjacency table of m * R * R entries and sums each forget into a dense
-    array of m * R**(bag size) entries; keys then stay below m * R**b <= 2**30.
+    array of m * R**(bag size) entries; a pull lays out its child and sums its
+    output densely in m * R**s entries each, s <= b-1 its forget's output
+    size, so no new limit. Keys then stay below m * R**b <= 2**30.
 
     Worth it: the entries that the DPs of the fitting patterns on the
     batch's graphs are expected to hold (:func:`_estimated_entries`) number

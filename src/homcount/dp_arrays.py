@@ -9,11 +9,13 @@ v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's largest vertex
 count. No entry spans two blocks: a vertex introduced next to a bag vertex is
 its neighbour, and one introduced free ranges over its key's own block, whose
 first free introduce comes from a leaf entry per block. A single graph is the
-batch m = 1, keyed in mixed radix n. ``counting._batches`` runs a pattern here
-only on batches where its counts provably fit in int64 and its dense arrays
-(the adjacency table and every forget's sum) within ``counting.DENSE_LIMIT``,
-and its docstring gives the bounds; ``counting`` imports this module, and
-numpy with it, only then.
+batch m = 1, keyed in mixed radix n. An introduce whose next step forgets
+one of its priors runs with that forget as one step, which pushes or pulls.
+``counting._batches`` runs a pattern here only on batches where its counts
+provably fit in int64 and its dense arrays (the adjacency table, every
+forget's sum and a pull's tables) within ``counting.DENSE_LIMIT``, and its
+docstring gives the bounds; ``counting`` imports this module, and numpy with
+it, only then.
 """
 
 from __future__ import annotations
@@ -25,10 +27,19 @@ import numpy as np
 
 from homcount.graphs import Graph
 
-# Introduce output entries materialised at a time. Whole tables cost memory:
-# C7 on a 1000-vertex graph of average degree 6 builds a 4.2M-entry introduce
-# table, and rooted C3 to C7 there peaked at 305 MB unchunked against 82 MB.
+# Entries an introduce, or a pull's row sums or lookups, materialise at a time.
+# Whole tables cost memory: C7 on a 1000-vertex graph of average degree 6 builds
+# a 4.2M-entry introduce table; rooted C3 to C7 there peaked at 305 MB unchunked, 82 MB chunked.
 CHUNK = 1 << 16
+
+# A pair pulls if PULL_COST times its pull work is below its push work. Random
+# graphs of 100 to 1000 vertices and average degree 2 to 10, and batches of 25
+# to 50 graphs of 20 to 40 vertices and 3 labels, ran 534 pairs both ways
+# (rooted C3 to C8, P4, P6, K4, bowtie), twice. On the 153 to 156 where either
+# took over 5 ms, a pull work unit cost a median 0.094 push units (quartiles
+# 0.03 and 0.15). Ratios 0.1 to 0.175 came within 0.7% of always taking the
+# faster way; push alone took 2.8 times as long, pull alone 1.5 to 1.6 times.
+PULL_COST = 0.1
 
 
 class Blocks:
@@ -51,25 +62,39 @@ class Blocks:
         self.labels = np.fromiter(chain.from_iterable(
             chain(g.labels, [-1] * (R - g.n)) for g in graphs), np.int64, m * R)
         owner = np.repeat(np.arange(m * R, dtype=np.int64), self.degree)
-        self.nbr_label = self.labels[owner - owner % R + self.nbr_local]
+        self.nbr = owner - owner % R + self.nbr_local  # as vertices of the batch
+        self.nbr_label = self.labels[self.nbr]
         self.adjacent = np.zeros(m * R * R, bool)  # adjacent[(b * R + u) * R + v]
         self.adjacent[owner * R + self.nbr_local] = True
 
-    def labelled(self, label: int):
-        """Per block, the first index and the number of its vertices with
-        ``label``, and those vertices' local ids in block order."""
-        where = np.flatnonzero(self.labels == label)
-        first = np.searchsorted(where, np.arange(self.m + 1) * self.R)
-        return first, np.diff(first), where % self.R
-
 
 def _concat(chunks):
-    parts = list(chunks)
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
+    parts = list(chunks) or [(np.zeros(0, np.int64),) * 2]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _fan_out(first, fan):
+    """Segment i as the ``fan[i]`` consecutive indices from ``first[i]``: each
+    index's segment, the indices, and each segment's start among them."""
+    starts = np.cumsum(fan) - fan
+    seg = np.repeat(np.arange(len(fan)), fan)
+    return seg, np.arange(len(seg)) - starts[seg] + first[seg], starts
+
+
+def _fanned(first, fan, width=1):
+    """``_fan_out`` in runs (lo, hi) of segments of at most ``CHUNK`` entries
+    in all, an entry ``width`` wide, or one larger segment alone."""
+    ends = np.cumsum(fan) * width
+    lo = 0
+    while lo < len(fan):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - fan[lo] * width + CHUNK, "right")))
+        yield (lo, hi) + _fan_out(first[lo:hi], fan[lo:hi])
+        lo = hi
+
+
+def _pulls(push: int, work: float) -> bool:
+    """Whether a pair pulls, given its push and pull work (``run_dp``)."""
+    return PULL_COST * work < push
 
 
 def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
@@ -80,61 +105,89 @@ def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
     ints, in batch order. A table is an iterable of (keys, counts) chunks
     with distinct keys and positive counts. Introduce yields chunks of at
     most about ``CHUNK`` entries as its consumer asks for them, so an
-    introduce followed by a forget never holds its whole table. Forget and
-    join materialise theirs. With m = 1 no step computes a block.
+    introduce followed by a forget never holds its whole table. Forget, join
+    and ``pair``, an introduce with the forget of a prior, materialise theirs.
     """
     steps = plan.steps
     m, R = blocks.m, blocks.R
     pows = [m * R**j for j in range(plan.largest_bag + 1)]
-    adjacent = blocks.adjacent
+    adjacent, degree, first_nbr, nbr_local, nbr = (
+        blocks.adjacent, blocks.degree, blocks.first_nbr, blocks.nbr_local, blocks.nbr)
+
+    def image(keys, q):  # each key's image at bag position q, as a vertex of the batch
+        return keys // pows[q] % R + (keys % m * R if m > 1 else 0)
 
     def introduce(chunks, step):
         p = pows[step.pos]
-        pn = p * R
         priors = step.prior_positions
         if priors:
-            first, fan_of, targets = blocks.first_nbr, blocks.degree, blocks.nbr_local
-        else:
-            first, fan_of, targets = blocks.labelled(step.label)
+            first, fan_of, targets = first_nbr, degree, nbr_local
+        else:  # per block, where its vertices with the label start among all, and how many
+            where = np.flatnonzero(blocks.labels == step.label)
+            first = np.searchsorted(where, np.arange(m + 1) * R)
+            fan_of, targets = np.diff(first), where % R
         for keys, counts in chunks:
-            block = keys % m if m > 1 else None
-            src = block
-            if priors:
-                src = keys // pows[priors[0]] % R
-                if block is not None:
-                    src += block * R
-            fan = np.full(len(keys), fan_of[0], np.int64) if src is None else fan_of[src]
-            ends = np.cumsum(fan)
-            lo = 0
-            while lo < len(keys):
-                base = int(ends[lo - 1]) if lo else 0
-                hi = max(lo + 1, int(np.searchsorted(ends, base + CHUNK, "right")))
-                d = fan[lo:hi]
-                row = np.repeat(np.arange(hi - lo), d)
-                within = np.arange(len(row)) - np.repeat(ends[lo:hi] - d - base, d)
-                idx = within if src is None else np.repeat(first[src[lo:hi]], d) + within
+            src = image(keys, priors[0]) if priors else keys % m
+            for lo, hi, row, idx, _ in _fanned(first[src], fan_of[src]):
                 cand = targets[idx]
                 part = keys[lo:hi]
                 if priors:
                     keep = blocks.nbr_label[idx] == step.label
                     for q in priors[1:]:
-                        via = part // pows[q] % R
-                        if block is not None:
-                            via += block[lo:hi] * R
-                        keep &= adjacent[(via * R)[row] + cand]
+                        keep &= adjacent[image(part, q)[row] * R + cand]
                     row, cand = row[keep], cand[keep]
-                spread = part // p * pn + part % p
+                spread = part // p * p * R + part % p
                 yield spread[row] + cand * p, counts[lo:hi][row]
-                lo = hi
 
     def forget(chunks, step):
         p = pows[step.pos]
-        pn = p * R
         acc = np.zeros(pows[step.size], np.int64)
         for keys, counts in chunks:
-            np.add.at(acc, keys % p + keys // pn * p, counts)
+            np.add.at(acc, keys % p + keys // (p * R) * p, counts)
         keys = np.flatnonzero(acc)
         return [(keys, acc[keys])]
+
+    def pair(chunks, step, after, fc):
+        """Introduce ``step`` of c and the forget ``after`` of its prior u, at
+        child bag position fc: out(rest, c) = [c has the label] * prod over
+        the other priors q of adj(rest_q, c) * sum over a in N(c) of
+        child(rest, u = a). Push runs the two steps; its work is the child's
+        fan sum. Pull, as in direction-optimizing BFS (Beamer, Asanović and
+        Patterson, SC 2012), lays the child out densely as rows over u, takes
+        candidates c from N(rest_q) per rest, or without another prior every
+        vertex with the label, and sums their rows N(c): its work is the dense
+        entries and those lookups, or row entries."""
+        keys, counts = _concat(chunks)
+        s, p, width = after.size, pows[fc], R ** (after.size - 1)
+        others = [j for j in step.prior_positions if j != fc]
+        cands = np.flatnonzero((blocks.labels == step.label) & (degree > 0))
+        fan = degree[cands]
+        work = (min(len(keys), pows[s - 1]) * (len(nbr) / (m * R)) ** 2 if others
+                else int(fan.sum()) * width)  # others: a rest per entry at most, d * d lookups each
+        if not _pulls(int(degree[image(keys, step.prior_positions[0])].sum()), pows[s] + work):
+            return forget(introduce([(keys, counts)], step), after)
+        rows = np.zeros(pows[s], np.int64)
+        rows[keys] = counts
+        rows = rows.reshape(-1, R, p // m, m).transpose(3, 1, 0, 2).copy().reshape(m * R, width)
+        out = np.zeros((m * R, width), np.int64)  # out[c, rest], c a vertex of the batch
+        if others:
+            rest = np.flatnonzero(rows.reshape(m, R, width).any(axis=1))  # b * width + rest
+            src, *via = [rest // width * R + rest % width // R ** (j - (j > fc)) % R
+                         for j in others]
+            seg, idx, _ = _fan_out(first_nbr[src], degree[src])
+            keep = blocks.nbr_label[idx] == step.label
+            for v in via:
+                keep &= adjacent[v[seg] * R + nbr_local[idx]]
+            c, col = nbr[idx[keep]], (rest % width)[seg[keep]]
+            for lo, hi, seg, idx, starts in _fanned(first_nbr[c], degree[c]):
+                out[c[lo:hi], col[lo:hi]] = np.add.reduceat(rows[nbr[idx], col[lo:hi][seg]], starts)
+        else:
+            for lo, hi, _, idx, starts in _fanned(first_nbr[cands], fan, width):
+                out[cands[lo:hi]] = np.add.reduceat(rows[nbr[idx]], starts)  # no empty segment
+        del rows  # before the output's transposed copy
+        out = out.reshape(m, R, -1, R ** (step.pos - (fc < step.pos))).transpose(2, 1, 3, 0).ravel()
+        keys = np.flatnonzero(out)
+        return [(keys, out[keys])]
 
     tables: list = [None] * len(steps)
     for i, step in enumerate(steps):
@@ -142,19 +195,24 @@ def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
             tables[i] = [(np.arange(m, dtype=np.int64), np.ones(m, np.int64))]
         elif step.kind == "introduce":
             (ci,) = step.children
-            tables[i] = introduce(tables[ci], step)
+            after = steps[i + 1] if i + 1 < len(steps) else step
+            fc = after.pos - (after.pos > step.pos)  # in the child's bag
+            if after.kind == "forget" and after.pos != step.pos and fc in step.prior_positions:
+                tables[i + 1] = pair(tables[ci], step, after, fc)
+            else:
+                tables[i] = introduce(tables[ci], step)
             tables[ci] = None
-        elif step.kind == "forget":
-            (ci,) = step.children
-            tables[i] = forget(tables[ci], step)
-            tables[ci] = None
-        else:
+        elif step.kind == "join":
             a, b = step.children
             ka, ca = _concat(tables[a])
             kb, cb = _concat(tables[b])
             tables[a] = tables[b] = None
             keys, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
             tables[i] = [(keys, ca[ia] * cb[ib])]
+        elif tables[i] is None:  # a forget, unless it ran in a pair
+            (ci,) = step.children
+            tables[i] = forget(tables[ci], step)
+            tables[ci] = None
     keys, counts = _concat(tables[-1])
     anchor_counts = np.zeros(m * R, np.int64)  # anchor_counts[b + m * v]
     anchor_counts[keys] = counts

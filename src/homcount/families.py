@@ -12,7 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from homcount.graphs import Graph, RootedPattern, check_vertex_count, normalize_edges
+from homcount.graphs import (
+    Graph, RootedPattern, SizeGuardError, check_vertex_count, normalize_edges
+)
+
+# Edges per gadget graph. A gadget pair peaks at 200 to 235 bytes per edge (stars K1,16
+# to K1,18; K1,18, 1.18·10^6 edges a graph, at 466 MB): the largest admitted near 0.9 GB.
+CFI_EDGE_GUARD = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,9 @@ def cfi_pair(p: RootedPattern, distinguished: Optional[int] = None) -> GraphPair
     if pg.degree(v1) < 2:
         raise ValueError("distinguished vertex needs degree >= 2")
     check_vertex_count(expected_cfi_size(p))
+    edges = sum(2 ** (pg.degree(u) + pg.degree(v) - 2) for u, v in pg.edges) // 2
+    if edges > CFI_EDGE_GUARD:
+        raise SizeGuardError(f"cfi gadgets limited to {CFI_EDGE_GUARD} edges, got {edges}")
 
     base_id = pg.id or "p"
     twisted = assemble_parity_gadget(p, f"cfi-{base_id}-twisted", v1)

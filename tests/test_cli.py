@@ -207,6 +207,18 @@ class TestGen:
         assert out.returncode == 3 and out.stdout == "" and not out_path.exists()
         assert out.stderr == f"error: guard: graphs limited to 4194304 vertices, got {size}\n"
 
+    def test_huge_cfi_gadget_trips_edge_guard(self, tmp_path):
+        # K1,20 passes the vertex guard (2^19 + 20 vertices per graph), not the
+        # edge guard (20 * 2^18 edges per graph), which is checked before any
+        # vertex is built: one guard line under a 1 GB address-space limit
+        star = write(tmp_path / "star.json", json.dumps(
+            [{"id": "S20", "n": 21, "edges": [[0, v] for v in range(1, 21)], "root": 0}]))
+        out_path = tmp_path / "out.jsonl"
+        out = run_limited("gen", "--family", "cfi", "--pattern", star, "--output", str(out_path))
+        assert out.returncode == 3 and out.stdout == "" and not out_path.exists()
+        assert out.stderr == ("error: guard: cfi gadgets limited to 2097152 edges, "
+                              f"got {20 * 2 ** 18}\n")
+
 
 class TestFeatures:
     def test_fixture_csv(self, capsys, tmp_path, fixture_files, k3_file):

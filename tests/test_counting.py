@@ -753,6 +753,10 @@ def arrays(pat, g):
     return counts
 
 
+# PULL_COST values that make every introduce-forget pair push, or pull
+PUSH, PULL = float("inf"), -1.0
+
+
 def dicts(pat, g):
     return _run_dp_dict(_dp_plan(pat), g)
 
@@ -788,14 +792,18 @@ class TestArrayKernel:
                 assert arrays(reroot(pat, root), g) == dicts(reroot(pat, root), g)
 
     def test_one_entry_chunks(self, monkeypatch):
-        # every introduce split at every entry: the path of tables past one chunk
+        # every introduce, and every pull's row sums and lookups, split at
+        # every entry or candidate: the path of tables past one chunk
         monkeypatch.setattr(dp_arrays, "CHUNK", 1)
         rng = random.Random(67)
         for _ in range(15):
             g = random_graph(rng, rng.randrange(1, 9), 0.5, labels=2)
             for pat in KERNEL_PATTERNS:
                 for root in (pat.root, 0):
-                    assert arrays(reroot(pat, root), g) == dicts(reroot(pat, root), g)
+                    want = dicts(reroot(pat, root), g)
+                    for cost in (PUSH, PULL):
+                        monkeypatch.setattr(dp_arrays, "PULL_COST", cost)
+                        assert arrays(reroot(pat, root), g) == want, cost
 
     def test_counts_are_python_ints(self):
         counts = arrays(cycle(4, root=0), G1)
@@ -830,6 +838,16 @@ def molecule_graphs(rng, count, sizes=(40, 40)):
 
 def forbid(monkeypatch, module, kernel):
     monkeypatch.setattr(module, kernel, lambda *args: pytest.fail(f"{kernel} ran"))
+
+
+def bench_shaped_graph():
+    """A uniform random graph like the benchmark's: 1000 vertices, 3000 edges."""
+    rng = random.Random(73)
+    edges = set()
+    while len(edges) < 3000:
+        a, b = sorted(rng.sample(range(1000), 2))
+        edges.add((a, b))
+    return build(1000, sorted(edges))
 
 
 class TestDispatch:
@@ -870,14 +888,25 @@ class TestDispatch:
 
     def test_small_tables_on_a_large_graph_take_dict_path(self):
         # like the benchmark's graph: C3 and C4 save less than importing numpy
-        rng = random.Random(73)
-        edges = set()
-        while len(edges) < 3000:
-            a, b = sorted(rng.sample(range(1000), 2))
-            edges.add((a, b))
-        g = build(1000, sorted(edges))
+        g = bench_shaped_graph()
         for k, large in ((3, False), (4, False), (5, True), (6, True), (7, True)):
             assert uses_arrays(cycle(k, root=0), g) == large, k
+
+    def test_dense_pairs_pull_on_a_large_graph(self, monkeypatch):
+        # C7's five pairs: four walk steps, then the closing one. The first
+        # walk pair's child holds the 6000 (neighbour, vertex) entries, too
+        # sparse to lay out as 10**6; the last walk pair's child fills most of
+        # them, and the closing pair needs about 36 lookups per vertex. (The
+        # third walk pair's child, about a fifth full, is left to the ratio.)
+        g = bench_shaped_graph()
+        real, pulls = dp_arrays._pulls, []
+        monkeypatch.setattr(dp_arrays, "_pulls", lambda *work: pulls.append(real(*work)) or pulls[-1])
+        plan, blocks = _dp_plan(cycle(7, root=0)), dp_arrays.Blocks([g])
+        pulled = dp_arrays.run_dp(plan, blocks)
+        assert len(pulls) == 5
+        assert pulls[:2] == [False, False] and pulls[3:] == [True, True]
+        monkeypatch.setattr(dp_arrays, "PULL_COST", PUSH)
+        assert dp_arrays.run_dp(plan, blocks) == pulled
 
     @pytest.mark.parametrize("kernel", ["arrays", "dicts"])
     def test_disconnected_pattern_is_product_of_components(self, monkeypatch, kernel):
@@ -1028,6 +1057,21 @@ BATCH_PATTERNS = KERNEL_PATTERNS + (
 )
 
 
+# n = 0, n = 1, and isolated vertices of both labels next to an edge
+SPARSE_GRAPHS = (
+    build(0, [], gid="empty"),
+    build(1, [], labels=[1], gid="dot"),
+    build(5, [(1, 2)], labels=[0, 0, 1, 1, 1], gid="k2+3k1"),
+)
+BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], gid="bowtie")
+PAIR_PATTERNS = tuple(
+    [RootedPattern(cycle(k), root) for k in range(3, 9) for root in (0, k // 2)]
+    + [lpath(4), reroot(lpath(4), 2), clique(4, root=0), RootedPattern(BOWTIE, 0),
+       RootedPattern(BOWTIE, 3), with_labels(cycle(5, root=0), [1, 0, 0, 1, 0], "c5-10010"),
+       with_labels(lpath(3), [0, 1, 1, 0], "l3-0110")]
+)
+
+
 class TestBatchedKernel:
     """``dp_arrays.run_dp`` on a batch equals every graph's own DP."""
 
@@ -1052,12 +1096,29 @@ class TestBatchedKernel:
         monkeypatch.setattr(dp_arrays, "CHUNK", 1)
         graphs = mixed_batch(random.Random(101))
         for pat in BATCH_PATTERNS:
-            assert batched(pat, graphs) == per_graph_dicts(pat, graphs), pat.id
+            want = per_graph_dicts(pat, graphs)
+            for cost in (PUSH, PULL):
+                monkeypatch.setattr(dp_arrays, "PULL_COST", cost)
+                assert batched(pat, graphs) == want, (pat.id, cost)
 
     def test_counts_are_python_ints(self):
         got = batched(cycle(4, root=0), [G1, H1])
         assert got == [hom_count_dp(cycle(4, root=0), G1), hom_count_dp(cycle(4, root=0), H1)]
         assert all(type(c) is int for counts in got for c in counts)
+
+    @given(st.lists(st.one_of(st.sampled_from(SPARSE_GRAPHS), graphs_strategy()),
+                    min_size=1, max_size=5), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=30, deadline=None)
+    def test_push_and_pull_equal_dicts(self, graphs, at):
+        # every batch holds a graph with an isolated vertex of each label:
+        # np.add.reduceat gives x[i], not 0, for an empty segment
+        graphs.insert(at, SPARSE_GRAPHS[-1])
+        want = {pat: per_graph_dicts(pat, graphs) for pat in PAIR_PATTERNS}
+        for cost in (PUSH, PULL):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dp_arrays, "PULL_COST", cost)
+                for pat in PAIR_PATTERNS:
+                    assert batched(pat, graphs) == want[pat], (pat.id, pat.root, cost)
 
     @given(st.lists(graphs_strategy(), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+import homcount.families as families
 from homcount.counting import hom_count_brute, hom_count_dp
 from homcount.families import (
     bowtie_pattern,
@@ -15,7 +16,7 @@ from homcount.families import (
     path_pattern,
     wl_equivalent_triangle_pair,
 )
-from homcount.graphs import canonical_code, is_isomorphic
+from homcount.graphs import SizeGuardError, canonical_code, is_isomorphic
 from homcount.refinement import f_wl, graph_verdict, k_wl, wl_refine
 
 FIG1_G_CODE = "5500000006000000000000000000000000000000000000000000000000b464"
@@ -189,6 +190,15 @@ class TestParityGadget:
             p = RootedPattern(g, 0)
             pair = cfi_pair(p)
             assert pair.g.n == pair.h.n == expected_cfi_size(p)
+
+    def test_edge_guard_at_the_boundary(self, monkeypatch):
+        # K4's gadgets: 6 pattern edges of 2^(3-1) * 2^(3-1) / 2 = 8 gadget edges each
+        monkeypatch.setattr(families, "CFI_EDGE_GUARD", 48)
+        pair = cfi_pair(clique_pattern(4))
+        assert len(pair.g.edges) == len(pair.h.edges) == 48
+        monkeypatch.setattr(families, "CFI_EDGE_GUARD", 47)
+        with pytest.raises(SizeGuardError, match="limited to 47 edges, got 48$"):
+            cfi_pair(clique_pattern(4))
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
