@@ -4,7 +4,7 @@ Subcommands: features, advise, wl, gen, witness, count. Exit codes: 0 success,
 1 verified failure (a check mode found a violation, or ``count``, ``wl --variant
 fwl`` or ``witness`` met a count above 2**127-1: ``error: overflow:``; ``features``
 flags the rows of such a graph NA and exits 0), 2 usage or parse error, 3
-resource guard tripped. Errors print one machine-parsable line on stderr.
+resource guard tripped or memory ran out. Errors print one machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SizeGuardError as exc:
         print(f"error: guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:  # a backstop: no guard bounds the DP's own work yet
+        print("error: guard: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except CountOverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from homcount.graphs import (
     Graph, RootedPattern, SizeGuardError, check_vertex_count, normalize_edges
 )
 
-# Edges per gadget graph. A gadget pair peaks at 200 to 235 bytes per edge (stars K1,16
-# to K1,18; K1,18, 1.18·10^6 edges a graph, at 466 MB): the largest admitted near 0.9 GB.
+# Edges per gadget graph. A gadget pair peaks at 210 to 240 bytes per edge (stars K1,16
+# to K1,18; K1,18, 1.18·10^6 edges a graph, at 472 MB): the largest admitted near 0.9 GB.
 CFI_EDGE_GUARD = 1 << 21
 
 
@@ -185,27 +185,20 @@ def parity_vertex_table(p: RootedPattern, twist_at: Optional[int]) -> list[Parit
 
 
 def assemble_parity_gadget(p: RootedPattern, gid: str, twist_at: Optional[int]) -> Graph:
+    """The gadget on ``parity_vertex_table(p, twist_at)``: two gadget vertices are adjacent
+    iff their bases u, v are adjacent and their assignments give edge uv the same bit.
+    v's sorted incident edges lead to its sorted neighbours: uv is at adjacency[v].index(u)."""
     pg = p.graph
-    incident = {
-        v: sorted((min(v, u), max(v, u)) for u in pg.adjacency[v]) for v in range(pg.n)
-    }
     verts = parity_vertex_table(p, twist_at)
-    index = {(pv.base, pv.assignment): i for i, pv in enumerate(verts)}
-    edge_pos = {v: {e: i for i, e in enumerate(incident[v])} for v in range(pg.n)}
-    edges = []
+    group = [[([], []) for _ in nbrs] for nbrs in pg.adjacency]  # [base][edge position][bit]
     for i, pv in enumerate(verts):
-        v = pv.base
-        for u in pg.adjacency[v]:
-            if u < v:
-                continue
-            e = (v, u) if v < u else (u, v)
-            fe = pv.assignment[edge_pos[v][e]]
-            for bits in itertools.product((0, 1), repeat=pg.degree(u)):
-                j = index.get((u, bits))
-                if j is None:
-                    continue
-                if bits[edge_pos[u][e]] == fe:
-                    edges.append((i, j))
+        for pos, bit in enumerate(pv.assignment):
+            group[pv.base][pos][bit].append(i)
+    edges = []
+    for u, v in pg.edges:
+        gu, gv = group[u][pg.adjacency[u].index(v)], group[v][pg.adjacency[v].index(u)]
+        for bit in (0, 1):
+            edges += itertools.product(gu[bit], gv[bit])
     return build_graph(gid, len(verts), edges)
 
 

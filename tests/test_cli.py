@@ -267,6 +267,22 @@ class TestFeatures:
         assert out.stderr == (f"error: guard: {huge}:1: graphs limited to 4194304 vertices, "
                               "got 1000000000000\n")
 
+    @pytest.mark.parametrize("command", ["features", "count"])
+    def test_out_of_memory_exit_3(self, tmp_path, command):
+        # K5 on K40 passes every size guard, and its DP tables outgrow a 400 MB
+        # address space: one guard line, no MemoryError traceback, no output
+        k5 = write(tmp_path / "k5.json", json.dumps(
+            [{"id": "K5", "n": 5, "edges": [[u, v] for v in range(5) for u in range(v)],
+              "root": 0}]))
+        k40 = write(tmp_path / "k40.jsonl", json.dumps(
+            {"id": "K40", "n": 40, "edges": [[u, v] for v in range(40) for u in range(v)]}) + "\n")
+        out_path = tmp_path / "out.csv"
+        argv = {"features": ["features", k40, "--patterns", k5],
+                "count": ["count", "--pattern", k5, "--graph", k40]}[command]
+        out = run_limited(*argv, "--output", str(out_path), limit=400 << 20)
+        assert out.returncode == 3 and out.stdout == "" and not out_path.exists()
+        assert out.stderr == "error: guard: out of memory\n"
+
     def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):
         bad = write(tmp_path / "bad.jsonl", '{"id":"x","n":2,"labels":[0,[1]],"edges":[[0,1]]}\n')
         code, out, err = run(capsys, "features", bad, "--patterns", k3_file)

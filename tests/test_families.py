@@ -191,6 +191,64 @@ class TestParityGadget:
             pair = cfi_pair(p)
             assert pair.g.n == pair.h.n == expected_cfi_size(p)
 
+    def test_edge_rule_on_random_bases(self):
+        # the definition, by brute force over all vertex pairs of both sides
+        import itertools
+        import random
+
+        from homcount.families import parity_vertex_table
+        from homcount.graphs import Graph, RootedPattern, is_connected, normalize_edges
+
+        rng = random.Random(24)
+        made = 0
+        while made < 12:
+            n = rng.randrange(2, 7)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            g = Graph("rb", n, (0,) * n, normalize_edges(edges))
+            twists = [v for v in range(n) if g.degree(v) >= 2]
+            if not is_connected(g) or not twists:
+                continue
+            made += 1
+            p = RootedPattern(g, 0)
+            incident = [sorted(e for e in g.edges if v in e) for v in range(n)]
+            cap = sum(2 ** (g.degree(u) + g.degree(v) - 2) for u, v in g.edges) // 2
+            for d in twists:
+                pair = cfi_pair(p, d)
+                for side, twist_at in ((pair.g, d), (pair.h, None)):
+                    table = parity_vertex_table(p, twist_at)
+                    assert side.n == len(table) == expected_cfi_size(p)
+                    assert len(side.edges) == cap
+                    for x, y in itertools.combinations(range(side.n), 2):
+                        u, v = table[x].base, table[y].base
+                        e = (min(u, v), max(u, v))
+                        want = g.has_edge(u, v) and (table[x].assignment[incident[u].index(e)]
+                                                     == table[y].assignment[incident[v].index(e)])
+                        assert side.has_edge(x, y) == want, (g.edges, d, x, y)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("K3", "c47b55b50c9b6b33cf35ca5ce8c28e826dd3cb093743eedcf26e8d519678cbba"),
+        ("K4", "33e329d37daabecc20bacc951455d28fdb8ef1acb15ad72d3d2a9d8cd56a1bdd"),
+        ("C5", "93e982d52fcdde6546bb455bde9898f372401d8de4184473f45a88cd97a87e9a"),
+        ("bowtie", "13da57275cd4ad61179fbc1ca13f6d60e981c47dab889a16f988e66c4222d8cc"),
+        ("K1,5", "90fc94b23b544e18b3d0d66c172534dc562288351029d8314077832f5492c5d0"),
+    ])
+    def test_gadget_bytes_pinned(self, name, digest):
+        # both sides' JSON lines at every distinguished vertex of degree >= 2
+        import hashlib
+
+        from homcount.families import build_graph
+        from homcount.graphs import RootedPattern, serialize_graph
+
+        p = {"K3": clique_pattern(3), "K4": clique_pattern(4), "C5": cycle_pattern(5),
+             "bowtie": bowtie_pattern(),
+             "K1,5": RootedPattern(build_graph("K1,5", 6, [(0, v) for v in range(1, 6)]), 0)}[name]
+        h = hashlib.sha256()
+        for d in range(p.graph.n):
+            if p.graph.degree(d) >= 2:
+                pair = cfi_pair(p, d)
+                h.update((serialize_graph(pair.g) + "\n" + serialize_graph(pair.h) + "\n").encode())
+        assert h.hexdigest() == digest
+
     def test_edge_guard_at_the_boundary(self, monkeypatch):
         # K4's gadgets: 6 pattern edges of 2^(3-1) * 2^(3-1) / 2 = 8 gadget edges each
         monkeypatch.setattr(families, "CFI_EDGE_GUARD", 48)

@@ -10,7 +10,7 @@ from pathlib import Path
 from homcount.algebra import SPASM_GUARD, TREEWIDTH_GUARD
 from homcount.cli import main
 from homcount.counting import ARRAY_MIN_ENTRIES, DENSE_LIMIT
-from homcount.families import wl_equivalent_triangle_pair
+from homcount.families import CFI_EDGE_GUARD, wl_equivalent_triangle_pair
 from homcount.graphs import VERTEX_GUARD
 from homcount.refinement import KWL_ENTRY_GUARD
 
@@ -61,3 +61,4 @@ def test_guard_numbers_match_the_code():
     digits, power = re.search(r"at (\d+)·10\^(\d+)", text).groups()
     assert int(digits) * 10 ** int(power) == KWL_ENTRY_GUARD
     assert 2 ** int(re.search(r"up to 2\^(\d+) vertices", text).group(1)) == VERTEX_GUARD
+    assert 2 ** int(re.search(r"gadget graph at 2\^(\d+) edges", text).group(1)) == CFI_EDGE_GUARD
