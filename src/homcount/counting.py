@@ -13,15 +13,15 @@ them. Such counts are local: a vertex's count in G1 ⊔ … ⊔ Gm is its count 
 its own graph (Lovász, *Large networks and graph limits*, 2012), so
 :func:`hom_vectors` runs each basis pattern of a count plan once per batch of
 graphs (consecutive in input order) and splits the result per graph. Tables
-take one of two representations: dicts of Python ints, one graph at a time,
-or int64 numpy key/count arrays (:mod:`homcount.dp_arrays`) over a whole
-batch. :func:`_batches` splits the graphs and picks the kernel per batch and
-basis pattern, and its docstring gives the rules; a single call is a batch of
-one graph. ``dp_arrays``, and numpy with it, is imported only when the arrays
-are used. Both kernels run the steps of :func:`_dp_plan`, the one plan
-compiler, which walks an exact-width tree decomposition of P straight into
-leaf, introduce, forget and join steps; both return Python ints, and neither
-raises.
+take one of two representations: dicts of Python ints, one graph at a time, or
+int64 numpy key/count arrays (:mod:`homcount.dp_arrays`) over a whole batch,
+where each table that basis plans share is built once. :func:`_batches` splits
+the graphs and picks the kernel per batch and basis pattern, and its docstring
+gives the rules; a single call is a batch of one graph. ``dp_arrays``, and
+numpy with it, is imported only when the arrays are used. Both kernels run the
+steps of :func:`_dp_plan`, the one plan compiler, which walks an exact-width
+tree decomposition of P straight into leaf, introduce, forget and join steps;
+both return Python ints, and neither raises.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
 
 
 def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
-    """The DP on dicts of Python ints, unchecked: callers check what they return."""
+    """The DP on dicts of Python ints, unchecked: callers check what they
+    return. Its inputs are small, so it shares no tables between plans."""
     steps = plan.steps
     n = g.n
     pows = [n**j for j in range(plan.largest_bag + 1)]
@@ -390,16 +391,19 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
 def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
     """For each graph, in order, every basis pattern's per-anchor counts,
     unchecked: each pattern runs once per batch of :func:`_batches`, on the
-    kernel it picked."""
+    kernel it picked; the array runs build each table their plans share once
+    per batch (``dp_arrays.Blocks.share``)."""
+    plans = [_dp_plan(q) for q in basis]
     for batch, arrays in _batches(basis, graphs):
         if any(arrays):
             from homcount import dp_arrays  # loads numpy
 
             blocks = dp_arrays.Blocks(batch)
+            blocks.share(compress(plans, arrays))
         runs = [
-            dp_arrays.run_dp(_dp_plan(q), blocks) if on_arrays
-            else [_run_dp_dict(_dp_plan(q), g) for g in batch]
-            for q, on_arrays in zip(basis, arrays)
+            dp_arrays.run_dp(plan, blocks) if on_arrays
+            else [_run_dp_dict(plan, g) for g in batch]
+            for plan, on_arrays in zip(plans, arrays)
         ]
         for j in range(len(batch)):
             yield [run[j] for run in runs]

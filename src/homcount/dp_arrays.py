@@ -9,13 +9,14 @@ v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's largest vertex
 count. No entry spans two blocks: a vertex introduced next to a bag vertex is
 its neighbour, and one introduced free ranges over its key's own block, whose
 first free introduce comes from a leaf entry per block. A single graph is the
-batch m = 1, keyed in mixed radix n. An introduce whose next step forgets
-one of its priors runs with that forget as one step, which pushes or pulls.
-``counting._batches`` runs a pattern here only on batches where its counts
-provably fit in int64 and its dense arrays (the adjacency table, every
-forget's sum and a pull's tables) within ``counting.DENSE_LIMIT``, and its
-docstring gives the bounds; ``counting`` imports this module, and numpy with
-it, only then.
+batch m = 1, keyed in mixed radix n. An introduce whose next step forgets one
+of its priors runs with that forget as one step, which pushes or pulls. A
+batch's plans build each table of a shared step prefix once, held only while a
+later run reads it (``Blocks.share``). ``counting._batches`` runs a pattern
+here only on batches where its counts provably fit in int64 and its dense
+arrays (the adjacency table, every forget's sum and a pull's tables) within
+``counting.DENSE_LIMIT``, and its docstring gives the bounds; ``counting``
+imports this module, and numpy with it, only then.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ class Blocks:
     """A batch of graphs as one vertex array of m blocks of R slots each:
     vertex v of graph b sits at ``b * R + v``, and the slots past a graph's
     vertex count are isolated and unlabelled. Built once per batch and shared
-    by every plan run on it."""
+    by every plan run on it, with the tables those runs share (``share``)."""
 
     def __init__(self, graphs: Sequence[Graph]):
+        self.shared: dict = {}  # step prefix -> its table, while a later run reads it
+        self.readers: dict = {}  # step prefix -> runs still to read it
         self.sizes = [g.n for g in graphs]
         self.m = m = len(graphs)
         self.R = R = max(self.sizes)
@@ -66,6 +69,34 @@ class Blocks:
         self.nbr_label = self.labels[self.nbr]
         self.adjacent = np.zeros(m * R * R, bool)  # adjacent[(b * R + u) * R + v]
         self.adjacent[owner * R + self.nbr_local] = True
+
+    def share(self, plans) -> None:
+        """Count, for ``plans`` to be run on these blocks in this order, the
+        runs that read each table an earlier run built, keyed by
+        ``steps[:i + 1]``, which with the batch fixes step i's table. A run
+        walks down from its last step to the deepest tables built before, one
+        per branch."""
+        built: set = set()
+        for plan in plans:
+            steps, todo = plan.steps, [len(plan.steps) - 1]
+            while todo:
+                i = todo.pop()
+                if steps[i].kind != "introduce" and steps[:i + 1] in built:
+                    self.readers[steps[:i + 1]] = self.readers.get(steps[:i + 1], 0) + 1
+                else:
+                    todo += steps[i].children
+            built.update(steps[:i + 1] for i in range(len(steps)))
+
+    def keep(self, key, table):
+        """Hold ``table``, just built for step prefix ``key``, while a later run reads it."""
+        if self.readers.get(key):
+            self.shared[key] = table
+        return table
+
+    def take(self, key):
+        """The held table for ``key``, let go after its last reader."""
+        self.readers[key] -= 1
+        return self.shared[key] if self.readers[key] else self.shared.pop(key)
 
 
 def _concat(chunks):
@@ -105,8 +136,10 @@ def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
     ints, in batch order. A table is an iterable of (keys, counts) chunks
     with distinct keys and positive counts. Introduce yields chunks of at
     most about ``CHUNK`` entries as its consumer asks for them, so an
-    introduce followed by a forget never holds its whole table. Forget, join
-    and ``pair``, an introduce with the forget of a prior, materialise theirs.
+    introduce followed by a forget never holds its whole table. Leaf, forget,
+    join and ``pair``, an introduce with the forget of a prior, materialise
+    theirs, and ``blocks`` holds those a later run reads (``Blocks.share``):
+    no step changes a table in place, so a held table serves every reader.
     """
     steps = plan.steps
     m, R = blocks.m, blocks.R
@@ -189,31 +222,31 @@ def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
         keys = np.flatnonzero(out)
         return [(keys, out[keys])]
 
-    tables: list = [None] * len(steps)
-    for i, step in enumerate(steps):
+    def table(i):  # held for step prefix steps[:i + 1], or built from the children's
+        step, key = steps[i], steps[:i + 1]
+        if step.kind == "introduce":  # lazy and read once, so never held
+            return introduce(table(step.children[0]), step)
+        if key in blocks.shared:
+            return blocks.take(key)
         if step.kind == "leaf":
-            tables[i] = [(np.arange(m, dtype=np.int64), np.ones(m, np.int64))]
-        elif step.kind == "introduce":
-            (ci,) = step.children
-            after = steps[i + 1] if i + 1 < len(steps) else step
-            fc = after.pos - (after.pos > step.pos)  # in the child's bag
-            if after.kind == "forget" and after.pos != step.pos and fc in step.prior_positions:
-                tables[i + 1] = pair(tables[ci], step, after, fc)
-            else:
-                tables[i] = introduce(tables[ci], step)
-            tables[ci] = None
+            built = [(np.arange(m, dtype=np.int64), np.ones(m, np.int64))]
         elif step.kind == "join":
-            a, b = step.children
-            ka, ca = _concat(tables[a])
-            kb, cb = _concat(tables[b])
-            tables[a] = tables[b] = None
+            ta, tb = map(table, step.children)
+            ka, ca = _concat(ta)
+            kb, cb = _concat(tb)
             keys, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-            tables[i] = [(keys, ca[ia] * cb[ib])]
-        elif tables[i] is None:  # a forget, unless it ran in a pair
+            built = [(keys, ca[ia] * cb[ib])]
+        else:
             (ci,) = step.children
-            tables[i] = forget(tables[ci], step)
-            tables[ci] = None
-    keys, counts = _concat(tables[-1])
+            below = steps[ci]
+            fc = step.pos - (step.pos > below.pos)  # in the introduce's child bag
+            if below.kind == "introduce" and step.pos != below.pos and fc in below.prior_positions:
+                built = pair(table(below.children[0]), below, step, fc)
+            else:
+                built = forget(table(ci), step)
+        return blocks.keep(key, built)
+
+    keys, counts = _concat(table(len(steps) - 1))
     anchor_counts = np.zeros(m * R, np.int64)  # anchor_counts[b + m * v]
     anchor_counts[keys] = counts
     per_block = anchor_counts.reshape(R, m).T.tolist()

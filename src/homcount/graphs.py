@@ -88,17 +88,17 @@ class Graph:
             )
         if self.labels and not (0 <= min(self.labels) and max(self.labels) < 1 << 32):
             raise ParseError("labels must be integers in [0, 2^32)", field="labels")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", field="edges")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ParseError(f"edge ({u},{v}) endpoint out of range", field="edges")
-            if u > v:
-                raise ParseError("edges must be normalized with u < v", field="edges")
-            if (u, v) in seen:
-                raise ParseError(f"duplicate edge ({u},{v})", field="edges")
-            seen.add((u, v))
+        n, prev = self.n, (-1, -1)
+        for edge in self.edges:  # each strictly after the one before: sorted, no duplicates
+            u, v = edge
+            if not 0 <= u < v < n or edge <= prev:
+                raise ParseError(
+                    f"self-loop at vertex {u}" if u == v
+                    else f"edge ({u},{v}) endpoint out of range" if not (0 <= u < n and 0 <= v < n)
+                    else "edges must be normalized with u < v" if u > v
+                    else f"duplicate edge ({u},{v})" if edge == prev
+                    else f"edges must be sorted: ({u},{v}) after {prev}", field="edges")
+            prev = edge
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -1196,3 +1196,93 @@ class TestBatchDispatch:
         assert [g.id for _, g in dict_runs] == ["k100"]
         assert got[3] == [(99**9,) * 100]
         assert got == [[c] for c in per_graph_dicts(pat, graphs)]
+
+
+# --- shared plan prefixes: each materialised table built once per batch ----------
+
+
+SHARING_BASES = {
+    "cycles": tuple(cycle(k, root=0) for k in range(3, 9)),
+    "paths": tuple(lpath(k) for k in range(1, 8)),
+    "labelled": (
+        with_labels(cycle(4, root=0), [0, 1, 0, 1], "c4-0101"),
+        with_labels(cycle(5, root=0), [0, 1, 0, 1, 1], "c5-01011"),
+        with_labels(cycle(5, root=0), [0, 1, 0, 0, 1], "c5-01001"),
+        with_labels(lpath(3), [0, 1, 0, 1], "l3-0101"),
+        with_labels(lpath(4), [0, 1, 0, 1, 2], "l4-01012"),
+    ),
+    "spiders": (SPIDER, reroot(SPIDER, 0), reroot(SPIDER, 1), lpath(2), lpath(4)),
+}
+
+
+def shared_runs(basis, graphs):
+    """``counting._basis_counts`` on the array kernel wherever it fits, per
+    pattern and graph; how many held tables its runs read; and each plan's
+    counts from a batch of its own. Every batch must let go of every table
+    it held, and none may wait for a reader that never comes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        alone = [[c for (c,) in counting._basis_counts([pat], graphs)] for pat in basis]
+        taken = spy(m, dp_arrays.Blocks, "take")
+        runs = spy(m, dp_arrays, "run_dp")
+        got = list(counting._basis_counts(basis, graphs))
+    for _, blocks in runs:
+        assert blocks.shared == {} and not any(blocks.readers.values())
+    return [list(col) for col in zip(*got)], len(taken), alone
+
+
+class TestSharedPrefixes:
+    """Runs of one batch that start from tables an earlier run built equal
+    each plan run alone, and the brute-force counts."""
+
+    @staticmethod
+    def check(basis, graphs):
+        got, taken, alone = shared_runs(basis, graphs)
+        assert got == alone
+        for pat, counts in zip(basis, got):
+            assert counts == [tuple(hom_count_brute(pat, g, v) for v in range(g.n))
+                              for g in graphs], pat.id
+        return taken
+
+    @pytest.mark.parametrize("name", sorted(SHARING_BASES))
+    def test_bases_that_share_prefixes(self, name):
+        assert self.check(SHARING_BASES[name], mixed_batch(random.Random(127))) > 0
+
+    @given(st.lists(st.tuples(connected_graphs(7), st.integers(min_value=0)),
+                    min_size=2, max_size=5),
+           st.lists(st.one_of(st.sampled_from(SPARSE_GRAPHS), graphs_strategy()),
+                    min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_random_pattern_sets(self, patterns, graphs):
+        self.check([RootedPattern(pg, root % pg.n) for pg, root in patterns], graphs)
+
+    def test_each_table_built_once_and_let_go(self, monkeypatch):
+        # rooted C3 to C7 on a graph like the benchmark's: 15 materialised
+        # prefixes among the 50 steps, each built once, none held afterwards
+        g = bench_shaped_graph()
+        basis = [cycle(k, root=0) for k in range(3, 8)]
+        kept = spy(monkeypatch, dp_arrays.Blocks, "keep")
+        runs = spy(monkeypatch, dp_arrays, "run_dp")
+        (counts,) = counting._basis_counts(basis, [g])
+        keys = [key for _, key, _ in kept]
+        prefixes = {plan.steps[:i + 1] for plan, _ in runs for i, step in enumerate(plan.steps)
+                    if step.kind != "introduce"}
+        assert len(runs) == 5 and len({id(blocks) for _, blocks in runs}) == 1
+        assert len(keys) == len(set(keys)) == 15 and set(keys) == prefixes
+        blocks = runs[0][1]
+        assert blocks.shared == {} and not any(blocks.readers.values())
+        monkeypatch.undo()
+        assert counts == [dicts(pat, g) for pat in basis]
+
+    def test_disconnected_pattern_builds_its_component_once(self, monkeypatch):
+        # 3 x K3 unrooted: three identical component plans, the last two read
+        # the first's final table
+        monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+        kept = spy(monkeypatch, dp_arrays.Blocks, "keep")
+        taken = spy(monkeypatch, dp_arrays.Blocks, "take")
+        three = build(9, [(a + 3 * t, b + 3 * t) for t in range(3)
+                          for a, b in ((0, 1), (0, 2), (1, 2))], gid="3k3")
+        assert hom_count_dp(three, G1) == hom_count_brute(three, G1) == 12**3
+        k3 = [step.kind for step in _dp_plan(clique(3, root=0)).steps]
+        assert len(kept) == len(k3) - k3.count("introduce")
+        assert len(taken) == 2

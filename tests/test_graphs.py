@@ -75,6 +75,20 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph('{"id":"bad","n":3,"edges":[[0,1],[1,0]]}')
 
+    def test_edge_tuple_must_be_sorted_without_duplicates(self):
+        # the constructor checks that each edge follows the one before it
+        with pytest.raises(ParseError, match="must be sorted") as err:
+            Graph("x", 3, (0,) * 3, ((1, 2), (0, 1)))
+        assert err.value.field == "edges"
+        with pytest.raises(ParseError, match="duplicate edge") as err:
+            Graph("x", 3, (0,) * 3, ((0, 1), (0, 1), (1, 2)))
+        assert err.value.field == "edges"
+        assert Graph("x", 3, (0,) * 3, ((0, 1), (0, 2), (1, 2))).edges == ((0, 1), (0, 2), (1, 2))
+
+    def test_unsorted_json_edges_parse(self):
+        g = parse_graph('{"id":"u","n":4,"edges":[[2,3],[3,0],[1,0],[0,2]]}')
+        assert g.edges == ((0, 1), (0, 2), (0, 3), (2, 3))
+
     def test_malformed_record(self):
         with pytest.raises(ParseError):
             parse_graph("not json")
