@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from homcount.algebra import SizeGuardError
 from homcount.counting import (
@@ -124,11 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _open_output(path: str):
+    """Stdout for ``-``, else the file ``path``, removed if the command fails."""
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
             yield fh
+    except BaseException:
+        if os.path.isfile(path):  # not a device such as /dev/null
+            with suppress(OSError):  # e.g. a directory not writable: report the first error
+                os.remove(path)
+        raise
 
 
 def _first_graph(path: str, alphabet: LabelAlphabet):

@@ -15,7 +15,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from itertools import groupby, repeat
+from operator import add, getitem, itemgetter
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
@@ -125,10 +126,11 @@ def _count_rows(args):
     overflowed = []
     for g, vecs in zip(graphs, hom_vectors(patterns, graphs, mode)):
         if isinstance(vecs, CountOverflowError):  # its rows are flagged NA, the run goes on
-            rows.extend((g.id, v, g.labels[v], None) for v in range(g.n))
+            counts = repeat(None)
             overflowed.append(g.id)
         else:
-            rows.extend((g.id, v, g.labels[v], tuple(vec[v] for vec in vecs)) for v in range(g.n))
+            counts = zip(*vecs) if vecs else repeat(())
+        rows.extend(zip(repeat(g.id), range(g.n), g.labels, counts))
     return rows, overflowed
 
 
@@ -155,26 +157,27 @@ def _all_count_rows(graphs, patterns, mode, threads):
     return rows, overflowed
 
 
+def _columns(rows, width):
+    """Each column's counts in row order, flagged rows skipped."""
+    return list(zip(*(counts for _, _, _, counts in rows if counts is not None))) or [()] * width
+
+
+def _stats(column):
+    """Sample mean/stddev of log1p over a column, each term once per distinct count;
+    constant when the floats agree, not the counts. Sums run left to right in row
+    order: the builtin sum compensates from Python 3.12 on, so its floats differ."""
+    logs = {c: math.log1p(c) for c in set(column)}
+    n = len(column)
+    mean = reduce(add, map(logs.__getitem__, column), 0.0) / n if n else 0.0
+    if len(set(logs.values())) <= 1 or n <= 1:
+        return mean, 0.0, True
+    squares = {c: (x - mean) ** 2 for c, x in logs.items()}
+    return mean, math.sqrt(reduce(add, map(squares.__getitem__, column), 0.0) / (n - 1)), False
+
+
 def _column_stats(rows, width):
-    """Sample mean/stddev of log1p(count) per column, skipping flagged rows."""
-    xs: list[list[float]] = [[] for _ in range(width)]
-    for _, _, _, counts in rows:
-        if counts is None:
-            continue
-        for j, c in enumerate(counts):
-            xs[j].append(math.log1p(c))
-    stats = []
-    # left-to-right sums: the builtin sum compensates from Python 3.12 on, so its floats differ
-    for vals in xs:
-        n = len(vals)
-        constant = len(set(vals)) <= 1
-        mean = reduce(add, vals, 0.0) / n if n else 0.0
-        if constant or n <= 1:
-            stats.append((mean, 0.0, True))
-            continue
-        var = reduce(add, ((x - mean) ** 2 for x in vals), 0.0) / (n - 1)
-        stats.append((mean, math.sqrt(var), False))
-    return stats
+    """Sample mean/stddev of log1p(count) per column (:func:`_stats`), skipping flagged rows."""
+    return [_stats(column) for column in _columns(rows, width)]
 
 
 def compute_features(
@@ -210,17 +213,16 @@ def compute_features(
         overflowed_graphs=overflowed,
     )
     if normalize == "log-z":
+        columns = _columns(rows, len(patterns))  # for the stats and the exact flags
         if stats_graphs is None:
-            stat_rows = rows
+            stats = map(_stats, columns)
         else:
             stat_rows, table.stats_overflowed_graphs = _all_count_rows(
                 list(stats_graphs), list(patterns), mode, threads)
-        stats = _column_stats(stat_rows, len(patterns))
-        columns = zip(*(counts for _, _, _, counts in rows if counts is not None))
-        largest = [max(column) for column in columns] or [0] * len(patterns)
+            stats = _column_stats(stat_rows, len(patterns))
         table.transforms = [
-            ColumnTransform(name, mean, std, const, top <= EXACT_LIMIT)
-            for name, (mean, std, const), top in zip(table.column_names, stats, largest)
+            ColumnTransform(name, mean, std, const, max(column, default=0) <= EXACT_LIMIT)
+            for name, (mean, std, const), column in zip(table.column_names, stats, columns)
         ]
     return table
 
@@ -233,6 +235,17 @@ def _csv_cell(text: str) -> str:
     return text if _NEEDS_QUOTES.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
+class _Memo(dict):
+    """``fmt(key)``, computed on the first lookup of each key."""
+
+    def __init__(self, fmt):
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        cell = self[key] = self.fmt(key)
+        return cell
+
+
 def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet] = None):
     """RFC-4180-style CSV (LF endings) with a ``#`` header block in front.
 
@@ -241,10 +254,15 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
     c = round(exp(z * std + mean) - 1). That is exact for counts up to 10**13;
     a column with a larger count says ``exact=false`` at the end of its
     ``# column`` line, and :func:`reconstruct_count` may miss its counts.
+
+    A cell is formatted once per distinct (column, count), an id once per graph
+    and a label once per label, to the bytes of per-cell formatting.
     """
     out.write(f"# mode: {table.mode}\n")
     out.write(f"# normalize: {table.normalize}\n")
-    if table.transforms is not None:
+    if table.transforms is None:
+        memos = [_Memo(str) for _ in table.pattern_ids]
+    else:
         out.write("# transform: z(log(1+count)) per column, dataset-global stats\n")
         for t in table.transforms:
             out.write(
@@ -252,22 +270,19 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
                 f"constant={'true' if t.constant else 'false'}"
                 f"{'' if t.exact else ' exact=false'}\n"
             )
+        memos = [_Memo((lambda c: "0.0") if t.constant else
+                       lambda c, t=t: repr((math.log1p(c) - t.mean) / t.std))
+                 for t in table.transforms]
     header = ["graph_id", "vertex_id", "label"] + table.column_names
     out.write(",".join(map(_csv_cell, header)) + "\n")
-    for gid, v, label, counts in table.rows:
-        ext = alphabet.label_of(label) if alphabet is not None else label
-        cells = [_csv_cell(str(gid)), str(v), _csv_cell(str(ext))]
-        if counts is None:
-            cells += ["NA"] * len(table.pattern_ids)
-        elif table.transforms is None:
-            cells += [str(c) for c in counts]
-        else:
-            for c, t in zip(counts, table.transforms):
-                if t.constant:
-                    cells.append("0.0")
-                else:
-                    cells.append(repr((math.log1p(c) - t.mean) / t.std))
-        out.write(",".join(cells) + "\n")
+    labels = _Memo(lambda label: _csv_cell(str(
+        alphabet.label_of(label) if alphabet is not None else label)))
+    na = ("NA",) * len(table.pattern_ids)
+    tails = _Memo(lambda counts: "".join(  # a row's cells after its label
+        "," + cell for cell in (na if counts is None else map(getitem, memos, counts))) + "\n")
+    for gid, run in groupby(table.rows, itemgetter(0)):
+        head = _csv_cell(str(gid)) + ","
+        out.write("".join(f"{head}{v},{labels[label]}{tails[counts]}" for _, v, label, counts in run))
 
 
 def read_transforms(path_or_lines) -> dict[str, ColumnTransform]:

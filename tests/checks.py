@@ -1,9 +1,13 @@
 """Checkers and references shared by several test modules."""
 
-from typing import Callable, Iterator, Sequence
+import math
+from functools import reduce
+from operator import add
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from homcount.algebra import TreeDecomposition
-from homcount.graphs import Graph
+from homcount.graphs import Graph, LabelAlphabet
+from homcount.pipeline import FeatureTable, _csv_cell
 
 
 def refine(
@@ -58,3 +62,56 @@ def check_decomposition(g: Graph, td: TreeDecomposition):
         assert seen == hset, f"occurrence set of {v} is disconnected"
     # single tree
     assert td.parent.count(-1) == 1
+
+
+def column_stats(rows, width):
+    """Reference log-z statistics, one log1p per cell: sample mean/stddev of
+    log1p(count) per column, skipping flagged rows."""
+    xs: list[list[float]] = [[] for _ in range(width)]
+    for _, _, _, counts in rows:
+        if counts is None:
+            continue
+        for j, c in enumerate(counts):
+            xs[j].append(math.log1p(c))
+    stats = []
+    # left-to-right sums: the builtin sum compensates from Python 3.12 on, so its floats differ
+    for vals in xs:
+        n = len(vals)
+        constant = len(set(vals)) <= 1
+        mean = reduce(add, vals, 0.0) / n if n else 0.0
+        if constant or n <= 1:
+            stats.append((mean, 0.0, True))
+            continue
+        var = reduce(add, ((x - mean) ** 2 for x in vals), 0.0) / (n - 1)
+        stats.append((mean, math.sqrt(var), False))
+    return stats
+
+
+def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet] = None):
+    """Reference feature CSV writer, formatting every cell of every row."""
+    out.write(f"# mode: {table.mode}\n")
+    out.write(f"# normalize: {table.normalize}\n")
+    if table.transforms is not None:
+        out.write("# transform: z(log(1+count)) per column, dataset-global stats\n")
+        for t in table.transforms:
+            out.write(
+                f"# column {t.column}: mean={t.mean!r} std={t.std!r} "
+                f"constant={'true' if t.constant else 'false'}"
+                f"{'' if t.exact else ' exact=false'}\n"
+            )
+    header = ["graph_id", "vertex_id", "label"] + table.column_names
+    out.write(",".join(map(_csv_cell, header)) + "\n")
+    for gid, v, label, counts in table.rows:
+        ext = alphabet.label_of(label) if alphabet is not None else label
+        cells = [_csv_cell(str(gid)), str(v), _csv_cell(str(ext))]
+        if counts is None:
+            cells += ["NA"] * len(table.pattern_ids)
+        elif table.transforms is None:
+            cells += [str(c) for c in counts]
+        else:
+            for c, t in zip(counts, table.transforms):
+                if t.constant:
+                    cells.append("0.0")
+                else:
+                    cells.append(repr((math.log1p(c) - t.mean) / t.std))
+        out.write(",".join(cells) + "\n")

@@ -283,6 +283,26 @@ class TestFeatures:
         assert out.returncode == 3 and out.stdout == "" and not out_path.exists()
         assert out.stderr == "error: guard: out of memory\n"
 
+    @pytest.mark.parametrize("error,code,message", [
+        (MemoryError(), 3, "error: guard: out of memory\n"),
+        (OSError(28, "No space left on device"), 2,
+         "error: invalid: [Errno 28] No space left on device\n"),
+    ], ids=["memory", "os-error"])
+    def test_failed_write_leaves_no_file(self, capsys, monkeypatch, tmp_path, fixture_files,
+                                         k3_file, error, code, message):
+        # the writer fails after its first line: the file it was writing goes
+        from homcount import cli
+
+        def partial(table, out, alphabet):
+            out.write(f"# mode: {table.mode}\n")
+            raise error
+
+        monkeypatch.setattr(cli, "write_csv", partial)
+        out_path = tmp_path / "partial.csv"
+        got = run(capsys, "features", fixture_files[0], "--patterns", k3_file,
+                  "--output", str(out_path))
+        assert got == (code, "", message) and not out_path.exists()
+
     def test_bad_label_exit_2(self, capsys, tmp_path, k3_file):
         bad = write(tmp_path / "bad.jsonl", '{"id":"x","n":2,"labels":[0,[1]],"edges":[[0,1]]}\n')
         code, out, err = run(capsys, "features", bad, "--patterns", k3_file)
@@ -382,6 +402,61 @@ class TestBatchedFeatures:
         assert code == 0 and err == ""
         assert sizes and max(sizes) == 80
         assert out.count("\nstar,") == 901
+
+
+class TestFeatureBytesPinned:
+    """SHA-256 of whole ``features`` CSVs on a fixed-seed molecule-like
+    dataset, taken from the per-cell writer, at --threads 1 and 2."""
+
+    DIGESTS = {
+        "hom-log-z": "48b1501265264aef08a2c463d85d0837e8af95cb001c4d29b0b590f21710dd72",
+        "sub-none": "b7a2d90de2c923b84d09f742218f4609209b35762e93b220bb0a2c635f24825d",
+        "stats-from": "a907b0e977f58078992cac610c7ac8cb1dae408778228ee91d13c003db55f5c7",
+        "na-row": "a39b78499175627e7b51f4dc27e599197e62a86451cb770d2b1ecc8f2186637e",
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        import random
+
+        from test_counting import molecule_graphs
+
+        lines = [json.dumps(g.to_record())
+                 for g in molecule_graphs(random.Random(211), 40, sizes=(15, 40))]
+        # K8's rooted C6 counts (7**6 + 7) / 8 = 14707 at every vertex; its
+        # id needs quoting
+        lines.insert(20, json.dumps({"id": 'k8, "dense"', "n": 8,
+                                     "edges": [[u, v] for v in range(8) for u in range(v)]}))
+        stats = [json.dumps(g.to_record())
+                 for g in molecule_graphs(random.Random(212), 20, sizes=(15, 40))]
+        patterns = [
+            {"id": "K3", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "root": 0},
+            {"id": "C4", "n": 4, "labels": [0, 1, 0, 1],
+             "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "root": 0},
+            {"id": "C6", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "root": 0},
+            {"id": "L2", "n": 3, "labels": [1, 0, 2], "edges": [[0, 1], [1, 2]], "root": 0},
+        ]
+        return (write(tmp_path / "data.jsonl", "\n".join(lines) + "\n"),
+                write(tmp_path / "stats.jsonl", "\n".join(stats) + "\n"),
+                write(tmp_path / "patterns.json", json.dumps(patterns)))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_bytes_pinned(self, capsys, monkeypatch, files, case, threads):
+        dataset, stats, patterns = files
+        flags = {"hom-log-z": ["--normalize", "log-z"],
+                 "sub-none": ["--mode", "sub"],
+                 "stats-from": ["--normalize", "log-z", "--stats-from", stats],
+                 "na-row": ["--normalize", "log-z"]}[case]
+        if case == "na-row":
+            # a ceiling that K8's C6 counts pass and no molecule's counts reach
+            monkeypatch.setattr(counting, "MAX_COUNT", 5000)
+        code, out, err = run(capsys, "features", dataset, "--patterns", patterns, *flags,
+                             "--threads", threads)
+        assert code == 0
+        assert err == ("error: overflow: graph k8, \"dense\" exceeded the count limit; "
+                       "rows flagged NA\n" if case == "na-row" else "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[case]
 
 
 class TestThreads:

@@ -7,9 +7,14 @@ import json
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import checks
 
 from homcount.families import (
     bowtie_pattern,
@@ -25,6 +30,9 @@ from homcount.families import (
 from homcount import pipeline
 from homcount.graphs import Graph, LabelAlphabet, RootedPattern, normalize_edges
 from homcount.pipeline import (
+    EXACT_LIMIT,
+    ColumnTransform,
+    FeatureTable,
     _column_stats,
     advise,
     compute_features,
@@ -251,6 +259,116 @@ class TestFeatures:
         a = compute_features(graphs, pats, normalize="log-z")
         b = compute_features(graphs, pats, normalize="log-z", stats_graphs=others)
         assert a.transforms != b.transforms
+
+
+def table_of(rows, pattern_ids, normalize, stat_rows=None):
+    """compute_features over count rows given as they are, and statistics
+    rows if given (as from --stats-from), in place of counted graphs."""
+    patterns = [RootedPattern(Graph(pid, 1, (0,), ()), 0) for pid in pattern_ids]
+    results = [(rows, [])] + ([] if stat_rows is None else [(stat_rows, [])])
+    with mock.patch.object(pipeline, "_all_count_rows", side_effect=results):
+        return compute_features([], patterns, normalize=normalize,
+                                stats_graphs=None if stat_rows is None else [])
+
+
+def reference_table(rows, pattern_ids, normalize, stat_rows=None):
+    """The table that per-cell statistics give for the same rows."""
+    table = FeatureTable("hom", normalize, tuple(pattern_ids), rows)
+    if normalize == "log-z":
+        stats = checks.column_stats(rows if stat_rows is None else stat_rows, len(pattern_ids))
+        columns = zip(*(counts for _, _, _, counts in rows if counts is not None))
+        largest = [max(column) for column in columns] or [0] * len(pattern_ids)
+        table.transforms = [
+            ColumnTransform(name, mean, std, const, top <= EXACT_LIMIT)
+            for name, (mean, std, const), top in zip(table.column_names, stats, largest)
+        ]
+    return table
+
+
+COUNTS = st.one_of(
+    st.integers(0, 6),
+    st.sampled_from([2**53, 2**53 + 1, 10**13, 10**13 + 1, 2**60, 2**60 + 1, 2**127 - 1]),
+    st.integers(0, 2**127 - 1),
+)
+NAMES = st.text(st.sampled_from('ab,"'), max_size=3)  # pattern ids: no line breaks in log-z
+TEXTS = st.text(st.sampled_from('ab,"\r\n'), max_size=3)
+
+
+@st.composite
+def count_rows(draw, width, labels):
+    """Rows of up to four graphs of up to four vertices, some flagged NA."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        gid, na = draw(TEXTS), draw(st.integers(0, 3)) == 0
+        rows += [(gid, v, draw(st.integers(0, labels - 1)),
+                  None if na else tuple(draw(COUNTS) for _ in range(width)))
+                 for v in range(draw(st.integers(0, 4)))]
+    return rows
+
+
+@st.composite
+def feature_cases(draw):
+    """(normalize, pattern ids, rows, stats rows or None, external labels or None)."""
+    external = draw(st.none() | st.lists(TEXTS | st.integers(-3, 3), min_size=1, max_size=3,
+                                         unique=True))
+    pattern_ids = draw(st.lists(NAMES, max_size=3))
+    rows = count_rows(len(pattern_ids), len(external) if external else 3)
+    return (draw(st.sampled_from(["none", "log-z"])), pattern_ids, draw(rows),
+            draw(st.none() | rows), external)
+
+
+class TestPerCellReference:
+    """The export matches the per-cell statistics and writer kept in
+    ``checks`` byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(feature_cases())
+    @example(("log-z", ["a"], [("g", 0, 0, (1,)), ("h", 0, 1, None), ("h", 1, 1, None),
+                                ("k", 0, 0, (3,))], None, None)).via("NA rows")
+    @example(("log-z", ["c", "d"], [("g", v, 0, (7, 2**60 + v)) for v in range(3)], None,
+              None)).via("constant columns")
+    @example(("log-z", ["x", "y"], [("g", 0, 0, (2**53 + 1, 10**13)), ("g", 1, 0, (5, 3)),
+                                     ("g", 2, 0, (0, 2))], None, None)).via("exact up to 10**13")
+    @example(("log-z", [], [], None, None)).via("zero patterns, zero graphs")
+    @example(("log-z", ["p"], [], None, None)).via("zero graphs")
+    @example(("none", [], [("g", 0, 0, ()), ("g", 1, 0, ())], None, None)).via("zero patterns")
+    @example(("log-z", ["p", "q"], [("g", 0, 0, (1, 4)), ("g", 1, 0, (9, 4))],
+              [("s", 0, 0, (2, 4)), ("s", 1, 0, None), ("t", 0, 0, (3, 5))], None)).via(
+        "stats rows")
+    @example(("none", ['e,"1"'], [('a,"b', 0, 0, (1,)), ("line\r\nbreak", 0, 1, (2,))], None,
+              ['x,"y"', 3])).via("quoted ids and labels, an integer label")
+    @example(("log-z", ["n"], [("g", 0, 1, (4,)), ("g", 1, 0, (5,))], None, [7, -2])).via(
+        "integer labels through an alphabet")
+    def test_matches_per_cell_reference(self, case):
+        normalize, pattern_ids, rows, stat_rows, external = case
+        table = table_of(rows, pattern_ids, normalize, stat_rows)
+        expected = reference_table(rows, pattern_ids, normalize, stat_rows)
+        assert table.rows == rows
+        stats_input = rows if stat_rows is None else stat_rows
+        assert _column_stats(stats_input, len(pattern_ids)) == checks.column_stats(
+            stats_input, len(pattern_ids))
+        alphabet = None
+        if external is not None:
+            alphabet = LabelAlphabet()
+            for label in external:
+                alphabet.intern(label)
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(table, got, alphabet)
+        checks.write_csv(expected, want, alphabet)
+        assert got.getvalue() == want.getvalue()
+
+    def test_constant_on_equal_floats_of_distinct_counts(self):
+        # 2**60 and 2**60 + 1 are distinct counts with one log1p float
+        assert math.log1p(2**60) == math.log1p(2**60 + 1)
+        rows = [("g", v, 0, (2**60 + v,)) for v in range(2)]
+        table = table_of(rows, ["big"], "log-z")
+        (t,) = table.transforms
+        assert (t.mean, t.std, t.constant, t.exact) == (math.log1p(2**60), 0.0, True, False)
+        buf = io.StringIO()
+        write_csv(table, buf)
+        assert buf.getvalue().endswith(
+            "# column hom_big: mean=41.58883083359672 std=0.0 constant=true exact=false\n"
+            "graph_id,vertex_id,label,hom_big\ng,0,0,0.0\ng,1,0,0.0\n")
 
 
 class TestAdvisor:
