@@ -15,8 +15,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby, repeat
-from operator import add, getitem, itemgetter
+from itertools import repeat
+from operator import add, getitem
 from typing import Optional, Sequence, TextIO
 
 from homcount.algebra import join_factors, core_of, treewidth
@@ -275,14 +275,14 @@ def write_csv(table: FeatureTable, out: TextIO, alphabet: Optional[LabelAlphabet
                  for t in table.transforms]
     header = ["graph_id", "vertex_id", "label"] + table.column_names
     out.write(",".join(map(_csv_cell, header)) + "\n")
+    ids = _Memo(lambda gid: _csv_cell(str(gid)))
     labels = _Memo(lambda label: _csv_cell(str(
         alphabet.label_of(label) if alphabet is not None else label)))
-    na = ("NA",) * len(table.pattern_ids)
-    tails = _Memo(lambda counts: "".join(  # a row's cells after its label
-        "," + cell for cell in (na if counts is None else map(getitem, memos, counts))) + "\n")
-    for gid, run in groupby(table.rows, itemgetter(0)):
-        head = _csv_cell(str(gid)) + ","
-        out.write("".join(f"{head}{v},{labels[label]}{tails[counts]}" for _, v, label, counts in run))
+    sep = "," if table.pattern_ids else ""  # no count cells, no comma after the label
+    na = ",".join(["NA"] * len(table.pattern_ids))
+    out.writelines(f"{ids[gid]},{v},{labels[label]}{sep}"
+                   f"{na if counts is None else ','.join(map(getitem, memos, counts))}\n"
+                   for gid, v, label, counts in table.rows)
 
 
 def read_transforms(path_or_lines) -> dict[str, ColumnTransform]:

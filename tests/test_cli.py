@@ -1,5 +1,8 @@
+import concurrent.futures
+import functools
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
@@ -449,8 +452,11 @@ class TestFeatureBytesPinned:
                  "stats-from": ["--normalize", "log-z", "--stats-from", stats],
                  "na-row": ["--normalize", "log-z"]}[case]
         if case == "na-row":
-            # a ceiling that K8's C6 counts pass and no molecule's counts reach
+            # a ceiling that K8's C6 counts pass and no molecule's counts reach;
+            # pool workers see the patched module only when they are forked
             monkeypatch.setattr(counting, "MAX_COUNT", 5000)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+                concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         code, out, err = run(capsys, "features", dataset, "--patterns", patterns, *flags,
                              "--threads", threads)
         assert code == 0
