@@ -4,8 +4,8 @@ subgraph counts as integer combinations of shared basis hom counts.
 
 Counts are exact integers, a rooted pattern's a tuple of one int per anchor.
 Returned counts are checked, a tuple by its anchor sum; intermediate values
-are exact Python ints (int64 where :func:`_batches` proves they fit). One
-above 2**127 - 1 raises :class:`CountOverflowError`; callers catch it to go on.
+are Python ints, or int64 where :func:`_batches` and :func:`_combine_batch`
+prove them exact. One above 2**127 - 1 raises :class:`CountOverflowError`.
 
 The decomposition DP has one output: the counts of a connected rooted pattern
 P at every anchor of a graph G; :func:`hom_count_dp` forms every total from
@@ -20,16 +20,17 @@ the graphs and picks the kernel per batch and basis pattern, and its docstring
 gives the rules; a single call is a batch of one graph. ``dp_arrays``, and
 numpy with it, is imported only when the arrays are used. Both kernels run the
 steps of :func:`_dp_plan`, the one plan compiler, which walks an exact-width
-tree decomposition of P straight into leaf, introduce, forget and join steps;
-both return Python ints, and neither raises.
+tree decomposition of P into leaf, introduce, forget and join steps; the
+dicts return Python ints, the arrays an int64 array per batch; neither raises.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
@@ -101,19 +102,25 @@ def _dp_plan(p: RootedPattern) -> _DpPlan:
     """Compile a rooted pattern into DP steps over an exact-width tree
     decomposition (:func:`homcount.algebra.treewidth`); the one plan compiler.
 
-    The walk starts at the first bag holding the root. A leaf starts empty; a
-    child's bag first forgets what its parent's bag lacks, then introduces
-    the rest, one vertex per step, in vertex order; children join pairwise
-    in order. Closing forgets, in vertex order, stop just before the root's
-    own forget, so the last table is keyed by the root's image alone.
+    A bag contained in a neighbouring bag is merged into it. The walk starts
+    at the first bag holding the root. A leaf starts empty; a child's bag
+    first forgets what its parent's bag lacks, then introduces the rest one
+    vertex per step, the first in vertex order with a pattern edge into the
+    bag if any, so a table grows by a degree rather than by n; children join
+    pairwise in order. Closing forgets, in vertex order, stop just before the
+    root's own forget, so the last table is keyed by the root's image alone.
     """
     pg, root = p.graph, p.root
     _, td = treewidth(pg)
-    adj: list[list[int]] = [[] for _ in td.bags]
-    for i, up in enumerate(td.parent):
-        if up >= 0:
-            adj[i].append(up)
-            adj[up].append(i)
+    bags, parent = td.bags, td.parent
+    adj = [{j for j, u in enumerate(parent) if u == i} | {up} - {-1} for i, up in enumerate(parent)]
+    for i, bag in enumerate(bags):  # bags never change, so one pass merges all
+        into = next((j for j in sorted(adj[i]) if bag <= bags[j]), None)
+        if into is not None:
+            for j in adj[i] - {into}:
+                adj[j] ^= {i, into}
+            adj[into] ^= adj[i] ^ {into, i}
+            adj[i] = {-1}  # merged
     steps: list[_DpStep] = []
 
     def emit(kind, children, pos=-1, label=-1, priors=(), size=0) -> int:
@@ -126,7 +133,10 @@ def _dp_plan(p: RootedPattern) -> _DpPlan:
             pos = bag.index(v)
             del bag[pos]
             idx = emit("forget", (idx,), pos, size=len(bag))
-        for v in sorted(target.difference(bag)):
+        new = sorted(target.difference(bag))
+        while new:
+            v = min(new, key=lambda v: not any(pg.adj_masks[v] >> u & 1 for u in bag))
+            new.remove(v)
             mask = pg.adj_masks[v]
             priors = tuple(j for j, u in enumerate(bag) if mask >> u & 1)
             insort(bag, v)
@@ -134,17 +144,17 @@ def _dp_plan(p: RootedPattern) -> _DpPlan:
         return idx
 
     def build(node: int, up: int) -> int:
-        target = td.bags[node]
-        kids = [c for c in adj[node] if c != up]
+        target = bags[node]
+        kids = sorted(adj[node] - {up})
         if not kids:
             return morph(emit("leaf", ()), [], target)
-        acc, *rest = [morph(build(c, node), sorted(td.bags[c]), target) for c in kids]
+        acc, *rest = [morph(build(c, node), sorted(bags[c]), target) for c in kids]
         for other in rest:
             acc = emit("join", (acc, other), size=len(target))
         return acc
 
-    top = next(i for i, b in enumerate(td.bags) if root in b)
-    morph(build(top, -1), sorted(td.bags[top]), frozenset((root,)))
+    top = next(i for i, b in enumerate(bags) if root in b and -1 not in adj[i])
+    morph(build(top, -1), sorted(bags[top]), frozenset((root,)))
     return _DpPlan(tuple(steps), max(s.size for s in steps))
 
 
@@ -157,27 +167,36 @@ DENSE_LIMIT = 1 << 20  # entries of an array kernel's adjacency table or forget 
 ARRAY_MIN_ENTRIES = 1 << 17  # estimated DP entries from which arrays pay off
 
 
-def _estimated_entries(plan: _DpPlan, n: int, d: float) -> float:
+def _estimated_entries(plan: _DpPlan, n: int, moments: Sequence[float]) -> float:
     """Entries the plan's tables hold in all, on a graph with n vertices and
-    average degree d whose edges fall at random: an introduce multiplies its
-    child's entries by n without a prior neighbour, else by d for the first
-    and d / n for each further one; a forget keeps at most n**(bag size)
-    entries and a join at most those of its smaller child."""
-    share = d / n
-    sizes: list[float] = []
+    random edges of degree moments ``moments[j]``, the mean of deg**j (j
+    neighbours of a vertex): an introduce multiplies by n without a prior,
+    else by moments[t + 1] / moments[t], t the vertices introduced next to its
+    first prior or to it, and by moments[1] / n per further prior; a forget
+    keeps at most n**(bag size), every t 0 at that cap; a join its smaller child."""
+    tables: list[tuple[float, list[int]]] = []  # per step: entries, each bag position's t
     for step in plan.steps:
-        kind = step.kind
-        if kind == "introduce":
-            m = len(step.prior_positions)
-            size = sizes[step.children[0]] * (d * share ** (m - 1) if m else n)
-        elif kind == "forget":
-            size = min(sizes[step.children[0]], n**step.size)
-        elif kind == "leaf":
-            size = 1.0
+        if step.kind == "leaf":
+            size, fan = 1.0, []
+        elif step.kind == "join":
+            size, fan = min(tables[c] for c in step.children)
         else:
-            size = min(sizes[c] for c in step.children)
-        sizes.append(size)
-    return sum(sizes)
+            size, fan = tables[step.children[0]]  # read once: its fan changes in place
+            if step.kind == "forget":
+                del fan[step.pos]
+                if size >= n**step.size:
+                    size, fan = float(n**step.size), [0] * step.size
+            elif step.prior_positions:
+                first, *more = step.prior_positions
+                t = fan[first]
+                size *= moments[t + 1] / (moments[t] or 1) * (moments[1] / n) ** len(more)
+                fan[first] += 1
+                fan.insert(step.pos, 1)
+            else:
+                fan.insert(step.pos, 0)
+                size *= n
+        tables.append((size, fan))
+    return sum(size for size, _ in tables)
 
 
 def _run_dp_dict(plan: _DpPlan, g: Graph) -> tuple[int, ...]:
@@ -341,16 +360,17 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
     size, so no new limit. Keys then stay below m * R**b <= 2**30.
 
     Worth it: the entries that the DPs of the fitting patterns on the
-    batch's graphs are expected to hold (:func:`_estimated_entries`) number
-    at least ``ARRAY_MIN_ENTRIES`` in all; else every pattern runs on dicts.
-    On random graphs of 100 to 1000 vertices and average degree 2 to 10,
-    with rooted C3 to C7, unrooted C4 and C6 and rooted P4 and P6, the arrays
-    saved 0.4 to 1.8 microseconds (median 1.0) per estimated entry on calls
-    of 2 * 10**4 estimated entries or more. Every call estimated at
-    ``ARRAY_MIN_ENTRIES`` or more saved at least 0.09 s, about the 0.11 to
-    0.15 s that importing numpy costs, so one call alone recovers the import.
-    A small run within a batch costs the kernel a few milliseconds at most
-    (rooted C3 on the 1000-vertex graph above: 13.6 ms against 11.1).
+    batch's graphs are expected to hold (:func:`_estimated_entries`, from the
+    batch's degree moments) number at least ``ARRAY_MIN_ENTRIES`` in all;
+    else every pattern runs on dicts. On random graphs of 100 to 1000
+    vertices and average degree 2 to 10 (rooted C3 to C7, unrooted C4 and C6,
+    rooted P4 and P6), the arrays saved a median 1.0 microseconds per entry
+    estimated from the mean degree, and at least 0.09 s, about what importing
+    numpy costs, on every call of ``ARRAY_MIN_ENTRIES`` or more. The moments
+    raise those estimates by 1 to 36%, and 100-fold for a triangle with three
+    leaves at its root on a star of 1001 vertices. A small run in a batch
+    costs a few milliseconds at most (rooted C3 on 1000 vertices: 13.6 ms
+    against 11.1).
     """
     plans = [_dp_plan(q) for q in basis]
     widest = max((max(2, dp.largest_bag - 1) for dp in plans), default=2)
@@ -364,11 +384,13 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
             and size * delta ** (q.graph.n - 1) < INT64_LIMIT
             for q, plan in zip(basis, plans)
         ]
-        shapes = [(g.n, 2 * len(g.edges) / g.n) for g in batch if g.n]
+        degrees = Counter(chain.from_iterable(map(len, g.adjacency) for g in batch))
+        moments = [sum(d**j * c for d, c in degrees.items()) / max(1, degrees.total())
+                   for j in range(k + 1)]
+        sizes = Counter(g.n for g in batch if g.n)
         total = 0.0
         for plan in compress(plans, fits):
-            for n, d in shapes:
-                total += _estimated_entries(plan, n, d)
+            total += sum(c * _estimated_entries(plan, n, moments) for n, c in sizes.items())
             if total >= ARRAY_MIN_ENTRIES:
                 return batch, fits
         return batch, [False] * len(basis)
@@ -388,11 +410,10 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
         yield flagged(batch, size, delta)
 
 
-def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
-    """For each graph, in order, every basis pattern's per-anchor counts,
-    unchecked: each pattern runs once per batch of :func:`_batches`, on the
-    kernel it picked; the array runs build each table their plans share once
-    per batch (``dp_arrays.Blocks.share``)."""
+def _basis_runs(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
+    """For each batch of :func:`_batches`, the batch and each basis pattern's
+    unchecked per-anchor counts on it: an int64 array of a row per graph from
+    ``dp_arrays.run_dp``, else a list of one tuple per graph from the dicts."""
     plans = [_dp_plan(q) for q in basis]
     for batch, arrays in _batches(basis, graphs):
         if any(arrays):
@@ -400,13 +421,42 @@ def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
 
             blocks = dp_arrays.Blocks(batch)
             blocks.share(compress(plans, arrays))
-        runs = [
+        yield batch, [
             dp_arrays.run_dp(plan, blocks) if on_arrays
             else [_run_dp_dict(plan, g) for g in batch]
             for plan, on_arrays in zip(plans, arrays)
         ]
+
+
+def _per_graph(run, batch: Sequence[Graph]) -> list[tuple[int, ...]]:
+    """A run of :func:`_basis_runs` as one tuple of Python ints per graph."""
+    return run if isinstance(run, list) else [tuple(r[:g.n]) for r, g in zip(run.tolist(), batch)]
+
+
+def _basis_counts(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
+    """For each graph, in order, every basis pattern's unchecked per-anchor counts."""
+    for batch, runs in _basis_runs(basis, graphs):
+        runs = [_per_graph(run, batch) for run in runs]
         for j in range(len(batch)):
             yield [run[j] for run in runs]
+
+
+def _combine_batch(plan: CountPlan, runs) -> Optional[list]:
+    """:func:`_combine` on whole int64 tables, if every basis run is one and
+    each pattern's sum over its terms of |weight| * max(1, table maximum),
+    which bounds every weight and partial sum, is below 2**63; else None."""
+    if any(isinstance(run, list) for run in runs):
+        return None
+    tops = [max(1, int(run.max())) for run in runs]
+    if any(sum(abs(w) * tops[i] for i, w in row) >= INT64_LIMIT for row in plan.terms):
+        return None
+    columns = []
+    for row, divisor in zip(plan.terms, plan.divisors):
+        column = sum(runs[i] * w for i, w in row)
+        if (column < 0).any() or divisor > 1 and (column % divisor).any():
+            raise AssertionError(f"inj counts negative or not divisible by {divisor}")
+        columns.append(column // divisor)
+    return columns
 
 
 def hom_vectors(
@@ -414,18 +464,26 @@ def hom_vectors(
 ) -> list[Union[list[tuple[int, ...]], CountOverflowError]]:
     """For each graph, in order, each pattern's per-anchor counts in pattern
     order, in ``mode`` hom, inj or sub, or the CountOverflowError raised when
-    a count it returns exceeds the ceiling: the patterns' :func:`count_plan`
-    combines the counts of its basis patterns (:func:`_basis_counts`)."""
+    a count it returns exceeds the ceiling: the :func:`count_plan` combines
+    basis counts (:func:`_basis_runs`) per batch (:func:`_combine_batch`) or
+    per graph (:func:`_combine`), checking each tuple's undivided anchor sum."""
     plan = count_plan(tuple(patterns), mode)
     out: list = []
-    for counts in _basis_counts(plan.basis, graphs):
-        try:
-            out.append([
-                _combine([(counts[i], w) for i, w in row], divisor)
-                for row, divisor in zip(plan.terms, plan.divisors)
-            ])
-        except CountOverflowError as exc:
-            out.append(exc)
+    for batch, runs in _basis_runs(plan.basis, graphs):
+        columns = _combine_batch(plan, runs)
+        counts = [_per_graph(run, batch) for run in (runs if columns is None else columns)]
+        for j in range(len(batch)):
+            vecs = [run[j] for run in counts]
+            try:
+                if columns is None:
+                    vecs = [_combine([(vecs[i], w) for i, w in row], divisor)
+                            for row, divisor in zip(plan.terms, plan.divisors)]
+                else:
+                    for vec, divisor in zip(vecs, plan.divisors):
+                        _check(divisor * sum(vec))
+                out.append(vecs)
+            except CountOverflowError as exc:
+                out.append(exc)
     return out
 
 

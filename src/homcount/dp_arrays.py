@@ -2,21 +2,21 @@
 
 Runs the same plan as the dict kernel, the steps of ``counting._dp_plan``, on
 a batch of m graphs at once, with every table held as int64 key/count arrays,
-and returns each graph's per-anchor counts. A connected pattern's rooted
-counts are local, so the batch acts as the disjoint union of its graphs: each
-graph is a block, and an entry whose bag images lie in block b with local ids
-v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's largest vertex
-count. No entry spans two blocks: a vertex introduced next to a bag vertex is
-its neighbour, and one introduced free ranges over its key's own block, whose
-first free introduce comes from a leaf entry per block. A single graph is the
-batch m = 1, keyed in mixed radix n. An introduce whose next step forgets one
-of its priors runs with that forget as one step, which pushes or pulls. A
-batch's plans build each table of a shared step prefix once, held only while a
-later run reads it (``Blocks.share``). ``counting._batches`` runs a pattern
-here only on batches where its counts provably fit in int64 and its dense
-arrays (the adjacency table, every forget's sum and a pull's tables) within
-``counting.DENSE_LIMIT``, and its docstring gives the bounds; ``counting``
-imports this module, and numpy with it, only then.
+and returns the batch's per-anchor counts as one int64 array. A connected
+pattern's rooted counts are local, so the batch acts as the disjoint union of
+its graphs: each graph is a block, and an entry whose bag images lie in block
+b with local ids v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's
+largest vertex count. No entry spans two blocks: a vertex introduced next to a
+bag vertex is its neighbour, and one introduced free ranges over its key's own
+block, whose first free introduce comes from a leaf entry per block. A single
+graph is the batch m = 1, keyed in mixed radix n. An introduce whose next step
+forgets one of its priors runs with that forget as one step, which pushes or
+pulls. A batch's plans build each table of a shared step prefix once, held
+only while a later run reads it (``Blocks.share``). ``counting._batches`` runs
+a pattern here only on batches where its counts provably fit in int64 and its
+dense arrays (the adjacency table, every forget's sum and a pull's tables)
+within ``counting.DENSE_LIMIT``, and its docstring gives the bounds;
+``counting`` imports this module, and numpy with it, only then.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ class Blocks:
     def __init__(self, graphs: Sequence[Graph]):
         self.shared: dict = {}  # step prefix -> its table, while a later run reads it
         self.readers: dict = {}  # step prefix -> runs still to read it
-        self.sizes = [g.n for g in graphs]
         self.m = m = len(graphs)
-        self.R = R = max(self.sizes)
+        self.R = R = max(g.n for g in graphs)
         pad = [()] * R
         adjacency = [nbrs for g in graphs for nbrs in chain(g.adjacency, pad[g.n:])]
         self.degree = np.fromiter(map(len, adjacency), np.int64, m * R)
@@ -128,14 +127,14 @@ def _pulls(push: int, work: float) -> bool:
     return PULL_COST * work < push
 
 
-def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
+def run_dp(plan, blocks: Blocks) -> np.ndarray:
     """Execute ``plan`` (a ``counting._DpPlan``) on every graph of ``blocks``
     (largest vertex count >= 1).
 
-    Returns each graph's counts of the pattern at every anchor as Python
-    ints, in batch order. A table is an iterable of (keys, counts) chunks
-    with distinct keys and positive counts. Introduce yields chunks of at
-    most about ``CHUNK`` entries as its consumer asks for them, so an
+    Returns an int64 array: per graph, in batch order, a row of its counts at
+    R anchors, 0 past its vertices. A table is an iterable of (keys, counts)
+    chunks with distinct keys and positive counts. Introduce yields chunks of
+    at most about ``CHUNK`` entries as its consumer asks for them, so an
     introduce followed by a forget never holds its whole table. Leaf, forget,
     join and ``pair``, an introduce with the forget of a prior, materialise
     theirs, and ``blocks`` holds those a later run reads (``Blocks.share``):
@@ -249,5 +248,4 @@ def run_dp(plan, blocks: Blocks) -> list[tuple[int, ...]]:
     keys, counts = _concat(table(len(steps) - 1))
     anchor_counts = np.zeros(m * R, np.int64)  # anchor_counts[b + m * v]
     anchor_counts[keys] = counts
-    per_block = anchor_counts.reshape(R, m).T.tolist()
-    return [tuple(row[:n]) for row, n in zip(per_block, blocks.sizes)]
+    return anchor_counts.reshape(R, m).T

@@ -127,7 +127,7 @@ def test_criterion_03_oracle_equivalence_grid():
                 if vec != brute:
                     mismatches += 1
                 # the int64 array kernel, which the size dispatch keeps off graphs this small
-                if dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks([g])) != [brute]:
+                if dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks([g])).tolist() != [list(brute)]:
                     array_mismatches += 1
         assert (mismatches, array_mismatches) == (0, 0)
 

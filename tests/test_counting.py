@@ -708,11 +708,20 @@ def check_plan(plan, pg):
     assert [step.kind for step in plan.steps].count("forget") == pg.n - 1
 
 
+def fill_edge_introduces(plan):
+    """Introduces of a vertex with no pattern edge into a nonempty bag."""
+    return sum(step.kind == "introduce" and not step.prior_positions and step.size > 1
+               for step in plan.steps)
+
+
 class TestDpPlan:
+    # per corpus: plans with a fill-edge introduce at most, and plans in all
+    FILL_EDGE_PLANS = {"atlas": (38, 810), "bench": (10, 401)}
+
     # SHA-256 of the newline-joined repr(_dp_plan(p)) over each corpus, in order
     PLAN_DIGESTS = {
-        "atlas": "37aaa4a89dbbd523cec9352ec9dac2c80f893ac847833f7df7238f7efab08a3a",
-        "bench": "4b37460633f5733f62b08860f65951af18f180a393ddb454b74dc82c1d549394",
+        "atlas": "388ce8abb803926afdcfd8583bcb2fbb81c67410dfa3c5421c725caba56407ec",
+        "bench": "d4e4d7c1b392fa9b51cdc30188f92ca738e90c5defb80945c52fc2348b80a822",
     }
 
     @pytest.mark.parametrize("corpus", sorted(PLAN_CORPORA))
@@ -724,6 +733,27 @@ class TestDpPlan:
     def test_plans_pinned(self, corpus):
         text = "\n".join(repr(_dp_plan(p)) for p in PLAN_CORPORA[corpus]())
         assert hashlib.sha256(text.encode()).hexdigest() == self.PLAN_DIGESTS[corpus]
+
+    @pytest.mark.parametrize("corpus", sorted(PLAN_CORPORA))
+    def test_introduces_follow_pattern_edges(self, corpus):
+        plans = [_dp_plan(p) for p in PLAN_CORPORA[corpus]()]
+        most, total = self.FILL_EDGE_PLANS[corpus]
+        assert len(plans) == total
+        assert sum(fill_edge_introduces(plan) > 0 for plan in plans) <= most
+
+    @given(connected_graphs(8), st.integers(min_value=0), graphs_strategy(max_n=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_plans_count_on_both_kernels(self, pg, root, g):
+        pat = RootedPattern(pg, root % pg.n)
+        check_plan(_dp_plan(pat), pg)
+        want = tuple(hom_count_brute(pat, g, v) for v in range(g.n))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+            assert uses_arrays(pat, g)
+            assert hom_count_dp(pat, g) == want
+        with pytest.MonkeyPatch.context() as m:
+            forbid(m, dp_arrays, "run_dp")
+            assert hom_count_dp(pat, g) == want
 
     def test_triangle_forced_shape(self):
         kinds = [step.kind for step in _dp_plan(clique(3, root=0)).steps]
@@ -749,7 +779,7 @@ KERNEL_PATTERNS = BRANCHING + (clique(3, root=0), clique(4, root=1), cycle(5, ro
 
 
 def arrays(pat, g):
-    (counts,) = dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks([g]))
+    (counts,) = counting._per_graph(dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks([g])), [g])
     return counts
 
 
@@ -892,6 +922,16 @@ class TestDispatch:
         for k, large in ((3, False), (4, False), (5, True), (6, True), (7, True)):
             assert uses_arrays(cycle(k, root=0), g) == large, k
 
+    def test_a_hub_makes_the_arrays_pay(self):
+        # a triangle with three leaves at its root, on a star of 1001 vertices:
+        # a table holds the hub's 10**6 pairs of leaves, which the star's mean
+        # degree of 2 would hide
+        pat = RootedPattern(build(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5)]), 0)
+        star = build(1001, [(0, v) for v in range(1, 1001)])
+        assert uses_arrays(pat, star)
+        small = build(12, [(0, v) for v in range(1, 12)])
+        assert hom_count_dp(pat, small) == tuple(hom_count_brute(pat, small, v) for v in range(12))
+
     def test_dense_pairs_pull_on_a_large_graph(self, monkeypatch):
         # C7's five pairs: four walk steps, then the closing one. The first
         # walk pair's child holds the 6000 (neighbour, vertex) entries, too
@@ -902,11 +942,11 @@ class TestDispatch:
         real, pulls = dp_arrays._pulls, []
         monkeypatch.setattr(dp_arrays, "_pulls", lambda *work: pulls.append(real(*work)) or pulls[-1])
         plan, blocks = _dp_plan(cycle(7, root=0)), dp_arrays.Blocks([g])
-        pulled = dp_arrays.run_dp(plan, blocks)
+        pulled = dp_arrays.run_dp(plan, blocks).tolist()
         assert len(pulls) == 5
         assert pulls[:2] == [False, False] and pulls[3:] == [True, True]
         monkeypatch.setattr(dp_arrays, "PULL_COST", PUSH)
-        assert dp_arrays.run_dp(plan, blocks) == pulled
+        assert dp_arrays.run_dp(plan, blocks).tolist() == pulled
 
     @pytest.mark.parametrize("kernel", ["arrays", "dicts"])
     def test_disconnected_pattern_is_product_of_components(self, monkeypatch, kernel):
@@ -1028,7 +1068,7 @@ def per_graph_dicts(pat, graphs):
 
 
 def batched(pat, graphs):
-    return dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks(graphs))
+    return counting._per_graph(dp_arrays.run_dp(_dp_plan(pat), dp_arrays.Blocks(graphs)), graphs)
 
 
 def mixed_batch(rng):
@@ -1163,6 +1203,21 @@ class TestBatchDispatch:
             forbid(m, dp_arrays, "run_dp")
             assert got == [hom_vector(pats, g, "sub") for g in graphs]
 
+    def test_sub_export_keeps_its_fast_path(self, monkeypatch):
+        # the molecule workload's patterns in sub mode, no threshold lowered:
+        # every basis pattern on arrays, introduced along pattern edges, and
+        # the count plan applied to whole tables
+        pats = bench_patterns()
+        basis = counting.count_plan(tuple(pats), "sub").basis
+        graphs = molecule_graphs(random.Random(131), 150, sizes=(15, 40))
+        assert not any(fill_edge_introduces(_dp_plan(q)) for q in basis)
+        assert [flags for _, flags in counting._batches(basis, graphs)] == [[True] * len(basis)]
+        combined = spy(monkeypatch, counting, "_combine")
+        got = counting.hom_vectors(pats, graphs, "sub")
+        assert combined == []
+        monkeypatch.undo()
+        assert got == [hom_vector(pats, g, "sub") for g in graphs]
+
     def test_batches_split_at_the_dense_limit(self, monkeypatch):
         # 32-vertex graphs and bags of at most 3: 1024 * 32**2 == DENSE_LIMIT
         monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
@@ -1196,6 +1251,87 @@ class TestBatchDispatch:
         assert [g.id for _, g in dict_runs] == ["k100"]
         assert got[3] == [(99**9,) * 100]
         assert got == [[c] for c in per_graph_dicts(pat, graphs)]
+
+
+# --- the count plan applied to whole array tables ---------------------------------
+
+
+def brute_basis(plan, graphs):
+    """Per graph, each basis pattern's brute-force per-anchor counts."""
+    return [[tuple(hom_count_brute(q, g, v) for v in range(g.n)) for q in plan.basis]
+            for g in graphs]
+
+
+def combined_per_graph(plan, basis_counts):
+    """Per graph, ``counting._combine`` over its basis counts, or the
+    CountOverflowError it raised."""
+    out = []
+    for counts in basis_counts:
+        try:
+            out.append([counting._combine([(counts[i], w) for i, w in row], divisor)
+                        for row, divisor in zip(plan.terms, plan.divisors)])
+        except CountOverflowError as exc:
+            out.append(exc)
+    return out
+
+
+TRIANGLE = build(3, [(0, 1), (0, 2), (1, 2)], gid="k3")
+
+
+class TestBatchCombine:
+    """``hom_vectors`` on an array batch equals ``_combine`` per graph over
+    brute-force counts, whether it combined the batch's tables or fell back."""
+
+    @given(st.lists(st.tuples(connected_graphs(4), st.integers(min_value=0)), max_size=3),
+           st.lists(st.one_of(st.sampled_from(SPARSE_GRAPHS), graphs_strategy(max_n=6)),
+                    min_size=1, max_size=5),
+           st.sampled_from(("hom", "inj", "sub")),
+           st.none() | st.integers(min_value=0),
+           st.none() | st.integers(min_value=0, max_value=40),
+           st.just(False))
+    @settings(max_examples=100, deadline=None)
+    @example([], list(SPARSE_GRAPHS), "sub", None, None, False)  # zero patterns
+    # a padding slot past the empty graph's counts raised to 2**62: no count
+    # moves, but each table's maximum is past the int64 bound of C4's terms
+    @example([(cycle(4), 0), (TRIANGLE, 1)], [G1, SPARSE_GRAPHS[0], complete(4)], "sub",
+             None, None, True)
+    # the second basis pattern on dicts, the rest on arrays
+    @example([(cycle(4), 0), (TRIANGLE, 1)], [G1, H1, SPARSE_GRAPHS[1]], "inj", 1, None, False)
+    # a ceiling of 15: K4's sums are 12, but 2 * 12 before the division; the
+    # triangle's 2 * 3 fit
+    @example([(TRIANGLE, 0), (cycle(4), 0)], [complete(4), TRIANGLE, SPARSE_GRAPHS[0],
+                                              SPARSE_GRAPHS[1], complete(4, gid="k4b")],
+             "sub", None, 15, False)
+    def test_equals_combine_over_brute(self, patterns, graphs, mode, on_dicts, ceiling,
+                                       past_bound):
+        pats = [RootedPattern(pg, root % pg.n) for pg, root in patterns]
+        plan = counting.count_plan(tuple(pats), mode)
+        basis, counts = plan.basis, brute_basis(plan, graphs)  # under the real ceiling
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
+            if ceiling is not None:
+                m.setattr(counting, "MAX_COUNT", ceiling)
+            want = combined_per_graph(plan, counts)
+            if on_dicts is not None and basis:  # that basis pattern runs on dicts
+                real_batches = counting._batches
+                m.setattr(counting, "_batches", lambda *args: (
+                    (batch, [f and i != on_dicts % len(basis) for i, f in enumerate(flags)])
+                    for batch, flags in real_batches(*args)))
+            if past_bound:
+                real_run, slot = dp_arrays.run_dp, [g.n for g in graphs].index(0)
+
+                def raised(dp_plan, blocks):
+                    table = real_run(dp_plan, blocks).copy()
+                    table[slot, -1] = 1 << 62
+                    return table
+
+                m.setattr(dp_arrays, "run_dp", raised)
+            combined = spy(m, counting, "_combine")
+            got = counting.hom_vectors(pats, graphs, mode)
+        assert [v if isinstance(v, list) else type(v) for v in got] == [
+            v if isinstance(v, list) else type(v) for v in want]
+        on_arrays = max(g.n for g in graphs) > 0 and on_dicts is None and not past_bound
+        assert bool(combined) == (bool(pats) and not on_arrays)
 
 
 # --- shared plan prefixes: each materialised table built once per batch ----------
