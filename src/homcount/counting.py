@@ -354,10 +354,11 @@ def _batches(basis: Sequence[RootedPattern], graphs: Sequence[Graph]):
     value, anchor sums included, stays in int64.
 
     Fits: m * R**max(2, b-1) <= ``DENSE_LIMIT``. The kernel keeps a dense
-    adjacency table of m * R * R entries and sums each forget into a dense
-    array of m * R**(bag size) entries; a pull lays out its child and sums its
-    output densely in m * R**s entries each, s <= b-1 its forget's output
-    size, so no new limit. Keys then stay below m * R**b <= 2**30.
+    adjacency table of m * R * R entries, and a forget whose input passes a
+    share of m * R**(bag size) sums into a dense array that large (it sorts
+    below); a pull lays out its child and sums its output densely in m * R**s
+    entries each, s <= b-1 its forget's output size, and a forget of that
+    output sums an axis, so no new limit. Keys then stay below m * R**b <= 2**30.
 
     Worth it: the entries that the DPs of the fitting patterns on the
     batch's graphs are expected to hold (:func:`_estimated_entries`, from the

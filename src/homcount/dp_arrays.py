@@ -1,8 +1,8 @@
 """The counting DP on int64 numpy arrays, for large graphs and batches of graphs.
 
 Runs the same plan as the dict kernel, the steps of ``counting._dp_plan``, on
-a batch of m graphs at once, with every table held as int64 key/count arrays,
-and returns the batch's per-anchor counts as one int64 array. A connected
+a batch of m graphs at once, with each table held as int64 key/count arrays or
+a pull's ``Dense`` rows, and returns its counts as one int64 array. A connected
 pattern's rooted counts are local, so the batch acts as the disjoint union of
 its graphs: each graph is a block, and an entry whose bag images lie in block
 b with local ids v_j is keyed ``b + m * sum_j v_j * R**j`` for R the batch's
@@ -22,7 +22,7 @@ within ``counting.DENSE_LIMIT``, and its docstring gives the bounds;
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +30,13 @@ from homcount.graphs import Graph
 
 # Entries an introduce, or a pull's row sums or lookups, materialise at a time.
 # Whole tables cost memory: C7 on a 1000-vertex graph of average degree 6 builds
-# a 4.2M-entry introduce table; rooted C3 to C7 there peaked at 305 MB unchunked, 82 MB chunked.
+# a 4.2M-entry introduce table; rooted C3 to C7 there peaked at 305 MB unchunked, 52 MB chunked.
 CHUNK = 1 << 16
+
+# A forget sorts below this share of its range m * R**size, else sums densely: random
+# keys into 2**20 slots (2-core Xeon) took 2.0/4.4/11.5 ms sorted, 4.9/7.5/8.9 ms dense
+# at shares 1/32, 1/16 and 1/8.
+SPARSE_SHARE = 1 / 16
 
 # A pair pulls if PULL_COST times its pull work is below its push work. Random
 # graphs of 100 to 1000 vertices and average degree 2 to 10, and batches of 25
@@ -41,6 +46,13 @@ CHUNK = 1 << 16
 # 0.03 and 0.15). Ratios 0.1 to 0.175 came within 0.7% of always taking the
 # faster way; push alone took 2.8 times as long, pull alone 1.5 to 1.6 times.
 PULL_COST = 0.1
+
+
+class Dense(NamedTuple):
+    """A table as a pull builds it: ``rows[b * R + c, rest]``, c the image at
+    bag position q and rest the others' images in radix R, in bag order."""
+    rows: np.ndarray
+    q: int
 
 
 class Blocks:
@@ -87,9 +99,11 @@ class Blocks:
             built.update(steps[:i + 1] for i in range(len(steps)))
 
     def keep(self, key, table):
-        """Hold ``table``, just built for step prefix ``key``, while a later run reads it."""
+        """Hold ``table``, built for step prefix ``key``, read-only while a later run reads it."""
         if self.readers.get(key):
             self.shared[key] = table
+            for array in [table.rows] if isinstance(table, Dense) else chain.from_iterable(table):
+                array.flags.writeable = False
         return table
 
     def take(self, key):
@@ -122,6 +136,22 @@ def _fanned(first, fan, width=1):
         lo = hi
 
 
+def _summed(keys, counts):
+    """Distinct ``keys`` (never negative) in order, each with its ``counts``' sum."""
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    return keys[order[starts]], np.add.reduceat(counts[order], starts)
+
+
+def _chunks(table, m: int, R: int):
+    """``table`` as (keys, counts) chunks: a ``Dense`` one flattened."""
+    if not isinstance(table, Dense):
+        return table
+    flat = table.rows.reshape(m, R, -1, R**table.q).transpose(2, 1, 3, 0).ravel()
+    keys = np.flatnonzero(flat)
+    return [(keys, flat[keys])]
+
+
 def _pulls(push: int, work: float) -> bool:
     """Whether a pair pulls, given its push and pull work (``run_dp``)."""
     return PULL_COST * work < push
@@ -132,13 +162,16 @@ def run_dp(plan, blocks: Blocks) -> np.ndarray:
     (largest vertex count >= 1).
 
     Returns an int64 array: per graph, in batch order, a row of its counts at
-    R anchors, 0 past its vertices. A table is an iterable of (keys, counts)
-    chunks with distinct keys and positive counts. Introduce yields chunks of
-    at most about ``CHUNK`` entries as its consumer asks for them, so an
-    introduce followed by a forget never holds its whole table. Leaf, forget,
-    join and ``pair``, an introduce with the forget of a prior, materialise
-    theirs, and ``blocks`` holds those a later run reads (``Blocks.share``):
-    no step changes a table in place, so a held table serves every reader.
+    R anchors, 0 past its vertices. A table, of distinct entries and positive
+    counts, is an iterable of (keys, counts) chunks or a pull's ``Dense``
+    output, which a forget, or a pull forgetting its c, reads as is and other
+    steps flatten (``_chunks``). Introduce yields chunks of about ``CHUNK``
+    entries as its consumer asks, so an introduce followed by a forget never
+    holds its whole table. A forget sorts each chunk while its input stays below
+    ``SPARSE_SHARE`` of its dense range, else sums densely; a partial sum is
+    at most its entry, so ``counting._batches``' int64 bound still holds.
+    ``blocks`` holds the tables a later run reads (``Blocks.share``),
+    read-only: no step changes a table, so a held table serves every reader.
     """
     steps = plan.steps
     m, R = blocks.m, blocks.R
@@ -171,15 +204,29 @@ def run_dp(plan, blocks: Blocks) -> np.ndarray:
                 spread = part // p * p * R + part % p
                 yield spread[row] + cand * p, counts[lo:hi][row]
 
-    def forget(chunks, step):
-        p = pows[step.pos]
-        acc = np.zeros(pows[step.size], np.int64)
-        for keys, counts in chunks:
-            np.add.at(acc, keys % p + keys // (p * R) * p, counts)
+    def forget(table, step):
+        p, size = pows[step.pos], step.size
+        if isinstance(table, Dense) and size:  # sum along c's axis, or a digit of rest
+            (rows, q), at_c = table, step.pos == table.q
+            outer, inner = (m, rows.shape[1]) if at_c else (-1, R ** (step.pos - (step.pos > q)))
+            return Dense(rows.reshape(outer, R, inner).sum(axis=1).reshape(m * R, -1),
+                         size - 1 if at_c else q - (step.pos < q))
+        runs, acc, seen = [], None, 0
+        for keys, counts in _chunks(table, m, R):
+            keys, seen = keys % p + keys // (p * R) * p, seen + len(keys)
+            if acc is None and seen >= SPARSE_SHARE * pows[size]:  # sum densely from here on
+                acc = np.zeros(pows[size], np.int64)
+                np.add.at(acc, *_concat(runs))
+            if acc is None:
+                runs.append(_summed(keys, counts))
+            else:
+                np.add.at(acc, keys, counts)
+        if acc is None:
+            return runs if len(runs) == 1 else [_summed(*_concat(runs))]
         keys = np.flatnonzero(acc)
         return [(keys, acc[keys])]
 
-    def pair(chunks, step, after, fc):
+    def pair(child, step, after, fc):
         """Introduce ``step`` of c and the forget ``after`` of its prior u, at
         child bag position fc: out(rest, c) = [c has the label] * prod over
         the other priors q of adj(rest_q, c) * sum over a in N(c) of
@@ -188,19 +235,26 @@ def run_dp(plan, blocks: Blocks) -> np.ndarray:
         Patterson, SC 2012), lays the child out densely as rows over u, takes
         candidates c from N(rest_q) per rest, or without another prior every
         vertex with the label, and sums their rows N(c): its work is the dense
-        entries and those lookups, or row entries."""
-        keys, counts = _concat(chunks)
+        entries and those lookups, or row entries. Rows over u are read as is."""
         s, p, width = after.size, pows[fc], R ** (after.size - 1)
-        others = [j for j in step.prior_positions if j != fc]
+        first, others = step.prior_positions[0], [j for j in step.prior_positions if j != fc]
+        rows = child.rows if isinstance(child, Dense) and child.q == fc else None
+        if rows is None or first != fc:
+            keys, counts = _concat(_chunks(child, m, R))
+            child, entries, push = [(keys, counts)], len(keys), degree[image(keys, first)].sum()
+        else:  # rows over u = the first prior: no flatten
+            per_row = np.count_nonzero(rows, axis=1)
+            entries, push = per_row.sum(), per_row @ degree
         cands = np.flatnonzero((blocks.labels == step.label) & (degree > 0))
         fan = degree[cands]
-        work = (min(len(keys), pows[s - 1]) * (len(nbr) / (m * R)) ** 2 if others
+        work = (min(entries, pows[s - 1]) * (len(nbr) / (m * R)) ** 2 if others
                 else int(fan.sum()) * width)  # others: a rest per entry at most, d * d lookups each
-        if not _pulls(int(degree[image(keys, step.prior_positions[0])].sum()), pows[s] + work):
-            return forget(introduce([(keys, counts)], step), after)
-        rows = np.zeros(pows[s], np.int64)
-        rows[keys] = counts
-        rows = rows.reshape(-1, R, p // m, m).transpose(3, 1, 0, 2).copy().reshape(m * R, width)
+        if not _pulls(push, pows[s] + work):
+            return forget(introduce(_chunks(child, m, R), step), after)
+        if rows is None:
+            rows = np.zeros(pows[s], np.int64)
+            rows[keys] = counts
+            rows = rows.reshape(-1, R, p // m, m).transpose(3, 1, 0, 2).copy().reshape(m * R, width)
         out = np.zeros((m * R, width), np.int64)  # out[c, rest], c a vertex of the batch
         if others:
             rest = np.flatnonzero(rows.reshape(m, R, width).any(axis=1))  # b * width + rest
@@ -216,23 +270,20 @@ def run_dp(plan, blocks: Blocks) -> np.ndarray:
         else:
             for lo, hi, _, idx, starts in _fanned(first_nbr[cands], fan, width):
                 out[cands[lo:hi]] = np.add.reduceat(rows[nbr[idx]], starts)  # no empty segment
-        del rows  # before the output's transposed copy
-        out = out.reshape(m, R, -1, R ** (step.pos - (fc < step.pos))).transpose(2, 1, 3, 0).ravel()
-        keys = np.flatnonzero(out)
-        return [(keys, out[keys])]
+        return Dense(out, step.pos - (fc < step.pos))
 
     def table(i):  # held for step prefix steps[:i + 1], or built from the children's
         step, key = steps[i], steps[:i + 1]
         if step.kind == "introduce":  # lazy and read once, so never held
-            return introduce(table(step.children[0]), step)
+            return introduce(_chunks(table(step.children[0]), m, R), step)
         if key in blocks.shared:
             return blocks.take(key)
         if step.kind == "leaf":
             built = [(np.arange(m, dtype=np.int64), np.ones(m, np.int64))]
         elif step.kind == "join":
             ta, tb = map(table, step.children)
-            ka, ca = _concat(ta)
-            kb, cb = _concat(tb)
+            ka, ca = _concat(_chunks(ta, m, R))
+            kb, cb = _concat(_chunks(tb, m, R))
             keys, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
             built = [(keys, ca[ia] * cb[ib])]
         else:
@@ -245,7 +296,7 @@ def run_dp(plan, blocks: Blocks) -> np.ndarray:
                 built = forget(table(ci), step)
         return blocks.keep(key, built)
 
-    keys, counts = _concat(table(len(steps) - 1))
+    keys, counts = _concat(_chunks(table(len(steps) - 1), m, R))
     anchor_counts = np.zeros(m * R, np.int64)  # anchor_counts[b + m * v]
     anchor_counts[keys] = counts
     return anchor_counts.reshape(R, m).T

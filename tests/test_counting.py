@@ -1181,6 +1181,92 @@ def spy(monkeypatch, module, name):
     return calls
 
 
+# SPARSE_SHARE values that make every forget of chunks sum densely, or sort
+DENSE, SORTED = 0.0, float("inf")
+# C7's first pull ends on the far end of its walk, which the next pull does
+# not forget; a label there makes that table asymmetric
+LAYOUT_PATTERNS = PAIR_PATTERNS + (
+    with_labels(cycle(7, root=0), [0, 0, 0, 0, 1, 0, 0], "c7-4"),)
+
+
+def table_arrays(table):
+    """The arrays a table of ``dp_arrays.run_dp`` holds."""
+    if isinstance(table, dp_arrays.Dense):
+        return [table.rows]
+    return [array for chunk in table for array in chunk]
+
+
+class TestTableLayouts:
+    """Sorted and dense forgets, and pulls that hand their dense output to
+    the next step as is, against the dict kernel and brute force."""
+
+    @given(st.lists(st.one_of(st.sampled_from(SPARSE_GRAPHS), graphs_strategy(max_n=6)),
+                    max_size=2), st.randoms(use_true_random=False))
+    @settings(max_examples=8, deadline=None)
+    def test_both_forgets_and_both_pair_ways_equal_dicts(self, graphs, rng):
+        # the patterns hold rooted C3 to C8; each batch holds n = 0,
+        # n = 1, isolated vertices of both labels and a labelled graph whose
+        # tables are not symmetric, in any order, and every table splits at
+        # every entry. The default share sorts a forget's first chunks only.
+        graphs += [*SPARSE_GRAPHS, random_graph(random.Random(7), 6, 0.6, labels=2)]
+        rng.shuffle(graphs)
+        want = {pat: per_graph_dicts(pat, graphs) for pat in LAYOUT_PATTERNS}
+        for pat in LAYOUT_PATTERNS:
+            assert want[pat] == [tuple(hom_count_brute(pat, g, v) for v in range(g.n))
+                                 for g in graphs], pat.id
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dp_arrays, "CHUNK", 1)
+            for share, cost in itertools.product((DENSE, dp_arrays.SPARSE_SHARE, SORTED),
+                                                 (PUSH, PULL)):
+                m.setattr(dp_arrays, "SPARSE_SHARE", share)
+                m.setattr(dp_arrays, "PULL_COST", cost)
+                for pat in LAYOUT_PATTERNS:
+                    assert batched(pat, graphs) == want[pat], (pat.id, pat.root, share, cost)
+
+    def test_pulls_hand_their_rows_over_without_a_flatten(self, monkeypatch):
+        # rooted C3 to C7 on a graph like the benchmark's: six pulls, three
+        # of them reading the previous pull's rows over their forgotten
+        # vertex. Only the four anchor tables that pulls end on are flattened.
+        g, basis = bench_shaped_graph(), [cycle(k, root=0) for k in range(3, 8)]
+        pulls = []
+        real = dp_arrays._pulls
+        monkeypatch.setattr(dp_arrays, "_pulls", lambda *work: pulls.append(real(*work)) or pulls[-1])
+        flattens = spy(monkeypatch, dp_arrays, "_chunks")
+        (counts,) = counting._basis_counts(basis, [g])
+        assert pulls.count(True) == 6
+        assert [table.rows.shape for table, _, _ in flattens
+                if isinstance(table, dp_arrays.Dense)] == [(1000, 1)] * 4
+        monkeypatch.setattr(dp_arrays, "PULL_COST", PUSH)
+        assert list(counting._basis_counts(basis, [g])) == [counts]
+
+    def test_features_peak_memory(self, tmp_path):
+        # the CLI's own peak RSS, from a small launcher: a forked child's
+        # ru_maxrss starts at its parent's high-water mark
+        import json
+        import os
+        import subprocess
+        import sys
+
+        data, pats = tmp_path / "data.jsonl", tmp_path / "cycles.json"
+        data.write_text(json.dumps(bench_shaped_graph().to_record()) + "\n")
+        pats.write_text(json.dumps([cycle(k, root=0).to_record() for k in range(3, 8)]))
+        launcher = ("import os, subprocess, sys\n"
+                    "child = subprocess.Popen(sys.argv[1:])\n"
+                    "_, status, usage = os.wait4(child.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "homcount.cli", "features", str(data), "--patterns",
+                str(pats), "--normalize", "none", "--threads", "1",
+                "--output", str(tmp_path / "out.csv")]
+        out = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        code, peak_kb = map(int, out.stdout.split())
+        assert code == 0 and (tmp_path / "out.csv").exists()
+        assert peak_kb / 1024 <= 60, f"{peak_kb / 1024:.1f} MB"
+
+
 class TestBatchDispatch:
     def test_hom_vectors_equals_hom_vector_per_graph(self, monkeypatch):
         monkeypatch.setattr(counting, "ARRAY_MIN_ENTRIES", 0)
@@ -1399,6 +1485,7 @@ class TestSharedPrefixes:
         basis = [cycle(k, root=0) for k in range(3, 8)]
         kept = spy(monkeypatch, dp_arrays.Blocks, "keep")
         runs = spy(monkeypatch, dp_arrays, "run_dp")
+        taken = spy(monkeypatch, dp_arrays.Blocks, "take")
         (counts,) = counting._basis_counts(basis, [g])
         keys = [key for _, key, _ in kept]
         prefixes = {plan.steps[:i + 1] for plan, _ in runs for i, step in enumerate(plan.steps)
@@ -1407,6 +1494,14 @@ class TestSharedPrefixes:
         assert len(keys) == len(set(keys)) == 15 and set(keys) == prefixes
         blocks = runs[0][1]
         assert blocks.shared == {} and not any(blocks.readers.values())
+        # a held table is read-only, so a step writing one in place fails
+        held = {key for _, key in taken}
+        assert held
+        for _, key, table in kept:
+            arrays = table_arrays(table)
+            assert [a.flags.writeable for a in arrays] == [key not in held] * len(arrays), key
+        with pytest.raises(ValueError):
+            table_arrays(next(table for _, key, table in kept if key in held))[-1][0] = 1
         monkeypatch.undo()
         assert counts == [dicts(pat, g) for pat in basis]
 
