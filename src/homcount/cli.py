@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(wl)
 
     gen = subs.add_parser("gen", help="generate a separating graph family")
-    gen.add_argument("--family", required=True,
-                     choices=["fig1", "fig2", "cycle-union", "cycle-hierarchy", "cfi"])
+    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
     gen.add_argument("--m", type=int, default=None, help="cycle-union size parameter")
     gen.add_argument("--k", type=int, default=None, help="cycle-hierarchy cycle length")
     gen.add_argument("--pattern", default=None, help="pattern file for cfi (first record)")
@@ -140,6 +139,13 @@ def _open_output(path: str):
         raise
 
 
+def _write_json(path: str, value, indent=None) -> None:
+    """``value`` as one JSON document and a newline, to ``path`` or stdout."""
+    with _open_output(path) as out:
+        json.dump(value, out, indent=indent)
+        out.write("\n")
+
+
 def _first_graph(path: str, alphabet: LabelAlphabet):
     graphs = load_dataset(path, alphabet)
     if not graphs:
@@ -182,10 +188,7 @@ def _cmd_advise(args) -> int:
     alphabet = LabelAlphabet()
     base = load_pattern_set(args.patterns, alphabet)
     candidates = load_pattern_set(args.candidates, alphabet)
-    report = advise(base, candidates)
-    with _open_output(args.output) as out:
-        json.dump(report.to_json(), out, indent=2)
-        out.write("\n")
+    _write_json(args.output, advise(base, candidates).to_json(), indent=2)
     return EXIT_OK
 
 
@@ -194,38 +197,31 @@ def _cmd_wl(args) -> int:
     a = _first_graph(args.graph_a, alphabet)
     b = _first_graph(args.graph_b, alphabet)
     if args.variant == "wl1":
-        ca, cb = wl_refine(a, b, max_rounds=args.rounds)
-        verdict = graph_verdict(ca, cb)
+        verdict = graph_verdict(*wl_refine(a, b, max_rounds=args.rounds))
     elif args.variant == "fwl":
         patterns = load_pattern_set(args.patterns, alphabet) if args.patterns else []
         _, _, verdict = f_wl(a, b, patterns, max_rounds=args.rounds)
     else:
         verdict = k_wl(a, b, args.k, max_rounds=args.rounds)
-    with _open_output(args.output) as out:
-        json.dump(verdict.to_json((a.id, b.id)), out)
-        out.write("\n")
+    _write_json(args.output, verdict.to_json((a.id, b.id)))
     return EXIT_OK
 
 
+_FAMILIES = {  # gen --family: (its builder, the flag it requires or None)
+    "fig1": (lambda args: wl_equivalent_triangle_pair(), None),
+    "fig2": (lambda args: delayed_triangle_pair(), None),
+    "cycle-union": (lambda args: cycle_union_pair(args.m), "m"),
+    "cycle-hierarchy": (lambda args: cycle_hierarchy_pair(args.k), "k"),
+    "cfi": (lambda args: cfi_pair(_first_pattern(args.pattern, LabelAlphabet()),
+                                  distinguished=args.distinguished), "pattern"),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "fig1":
-        pair = wl_equivalent_triangle_pair()
-    elif args.family == "fig2":
-        pair = delayed_triangle_pair()
-    elif args.family == "cycle-union":
-        if args.m is None:
-            raise ParseError("cycle-union requires --m", field="m")
-        pair = cycle_union_pair(args.m)
-    elif args.family == "cycle-hierarchy":
-        if args.k is None:
-            raise ParseError("cycle-hierarchy requires --k", field="k")
-        pair = cycle_hierarchy_pair(args.k)
-    else:
-        if args.pattern is None:
-            raise ParseError("cfi requires --pattern", field="pattern")
-        alphabet = LabelAlphabet()
-        p = _first_pattern(args.pattern, alphabet)
-        pair = cfi_pair(p, distinguished=args.distinguished)
+    build, flag = _FAMILIES[args.family]
+    if flag is not None and getattr(args, flag) is None:
+        raise ParseError(f"{args.family} requires --{flag}", field=flag)
+    pair = build(args)
     with _open_output(args.output) as out:
         for g in (pair.g, pair.h):
             rec = g.to_record()
@@ -249,9 +245,7 @@ def _cmd_witness(args) -> int:
         a, b, patterns, budget=budget,
         vertex_pair=tuple(args.vertices) if args.vertices else None,
     )
-    with _open_output(args.output) as out:
-        json.dump(report.to_json(), out, indent=2)
-        out.write("\n")
+    _write_json(args.output, report.to_json(), indent=2)
     if not report.ok:
         print("error: check: equivalent vertices disagree on a pattern tree",
               file=sys.stderr)
@@ -277,9 +271,7 @@ def _cmd_count(args) -> int:
             result["count"] = counts[args.anchor]
         else:
             result.update(counts=list(counts), total=sum(counts))
-    with _open_output(args.output) as out:
-        json.dump(result, out)
-        out.write("\n")
+    _write_json(args.output, result)
     return EXIT_OK
 
 

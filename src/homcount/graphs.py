@@ -102,12 +102,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor lists, one per vertex."""
+        """Sorted neighbor lists, one per vertex; the edges are sorted with u < v,
+        so each vertex meets its smaller neighbours first, in order, then its larger."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -231,14 +232,17 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
+def decode_json(text: str):
+    """The value a JSON text encodes; bad JSON, or JSON too deep to decode, raises ParseError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", field="record") from exc
+
+
 def _record_from_line(line) -> dict:
     """A decoded record, or the record that a JSON text encodes."""
-    rec = line
-    if isinstance(line, str):
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"invalid JSON: {exc}", field="record") from exc
+    rec = decode_json(line) if isinstance(line, str) else line
     if not isinstance(rec, dict):
         raise ParseError("record must be a JSON object", field="record")
     return rec
@@ -266,7 +270,8 @@ def parse_graph(line, alphabet: Optional[LabelAlphabet] = None) -> Graph:
         raise ParseError("'edges' must be a list of pairs", field="edges")
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
+                and isinstance(e[0], int) and not isinstance(e[0], bool)
+                and isinstance(e[1], int) and not isinstance(e[1], bool)):
             raise ParseError(f"malformed edge entry {e!r}", field="edges")
     raw_labels = rec.get("labels")
     if raw_labels is None:
@@ -289,8 +294,7 @@ def parse_pattern(line, alphabet: Optional[LabelAlphabet] = None) -> RootedPatte
     root = rec["root"]
     if not isinstance(root, int) or isinstance(root, bool):
         raise ParseError("'root' must be an integer", field="root")
-    g = parse_graph({k: v for k, v in rec.items() if k != "root"}, alphabet)
-    return RootedPattern(g, root)
+    return RootedPattern(parse_graph(rec, alphabet), root)  # which reads no 'root'
 
 
 def serialize_graph(g: Graph, alphabet: Optional[LabelAlphabet] = None) -> str:

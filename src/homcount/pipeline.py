@@ -9,7 +9,6 @@ larger count is flagged ``exact=false`` there.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
@@ -29,6 +28,7 @@ from homcount.graphs import (
     SizeGuardError,
     canonical_code,
     count_maps,
+    decode_json,
     parse_graph,
     parse_pattern,
 )
@@ -64,13 +64,9 @@ def load_dataset(path: str, alphabet: LabelAlphabet) -> list[Graph]:
 
 
 def read_json(path: str):
-    """The JSON value in ``path``; invalid JSON, or JSON nested too deep to
-    decode, raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}", field="record") from exc
+    """The JSON value in ``path``; :func:`homcount.graphs.decode_json`'s errors name ``path``."""
+    with open(path, "r", encoding="utf-8") as fh, _located(path):
+        return decode_json(fh.read())
 
 
 def load_pattern_set(path: str, alphabet: LabelAlphabet) -> list[RootedPattern]:
@@ -175,11 +171,6 @@ def _stats(column):
     return mean, math.sqrt(reduce(add, map(squares.__getitem__, column), 0.0) / (n - 1)), False
 
 
-def _column_stats(rows, width):
-    """Sample mean/stddev of log1p(count) per column (:func:`_stats`), skipping flagged rows."""
-    return [_stats(column) for column in _columns(rows, width)]
-
-
 def compute_features(
     graphs: Sequence[Graph],
     patterns: Sequence[RootedPattern],
@@ -192,7 +183,8 @@ def compute_features(
 
     ``stats_graphs`` lets normalization statistics come from a different graph
     collection than the one being exported (default: the input itself).
-    Overflowing graphs are flagged and skipped, the run continues.
+    Overflowing graphs are flagged and skipped, the run continues. Pattern ids
+    name the columns, so a repeated id raises ValueError.
     """
     if mode not in ("hom", "sub"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -200,7 +192,11 @@ def compute_features(
         raise ValueError(f"unknown normalize {normalize!r}")
     if threads < 0:
         raise ValueError(f"threads must be 0 or more, got {threads}")
+    seen = set()
     for p in patterns:
+        if p.id in seen:
+            raise ValueError(f"duplicate pattern id {p.id!r}; each names one column")
+        seen.add(p.id)
         if normalize == "log-z" and ("\n" in p.id or "\r" in p.id):
             raise ValueError(
                 f"pattern id {p.id!r} has a line break; a log-z header line cannot hold it")
@@ -213,16 +209,14 @@ def compute_features(
         overflowed_graphs=overflowed,
     )
     if normalize == "log-z":
-        columns = _columns(rows, len(patterns))  # for the stats and the exact flags
-        if stats_graphs is None:
-            stats = map(_stats, columns)
-        else:
+        columns = stat_columns = _columns(rows, len(patterns))  # the exact flags read columns
+        if stats_graphs is not None:
             stat_rows, table.stats_overflowed_graphs = _all_count_rows(
                 list(stats_graphs), list(patterns), mode, threads)
-            stats = _column_stats(stat_rows, len(patterns))
+            stat_columns = _columns(stat_rows, len(patterns))
         table.transforms = [
-            ColumnTransform(name, mean, std, const, max(column, default=0) <= EXACT_LIMIT)
-            for name, (mean, std, const), column in zip(table.column_names, stats, columns)
+            ColumnTransform(name, *_stats(stat_column), max(column, default=0) <= EXACT_LIMIT)
+            for name, stat_column, column in zip(table.column_names, stat_columns, columns)
         ]
     return table
 

@@ -138,6 +138,11 @@ def wl_refine(
     return _split_colorings(g, h, history, g.n)
 
 
+def _hom_colors(g: Graph, patterns: Sequence[RootedPattern]) -> list:
+    """F-WL's initial colours: each vertex's label and its rooted count of each pattern."""
+    return list(zip(g.labels, *hom_vector(patterns, g)))
+
+
 def f_wl(
     g: Graph,
     h: Graph,
@@ -148,8 +153,7 @@ def f_wl(
     per pattern, from one :func:`homcount.counting.hom_vector` call per graph.
     An empty pattern set reproduces :func:`wl_refine` exactly."""
     _check_rounds(max_rounds)
-    init_g, init_h = (list(zip(x.labels, *hom_vector(patterns, x))) for x in (g, h))
-    a, b = wl_refine(g, h, init_g, init_h, max_rounds)
+    a, b = wl_refine(g, h, _hom_colors(g, patterns), _hom_colors(h, patterns), max_rounds)
     return a, b, graph_verdict(a, b)
 
 
@@ -276,16 +280,17 @@ def k_wl(g: Graph, h: Graph, k: int, max_rounds: Optional[int] = None) -> Verdic
 def distinguishability_matrix(
     graphs: Sequence[Graph], patterns: Sequence[RootedPattern]
 ) -> dict[tuple[str, str], Verdict]:
-    """All-pairs hom-augmented refinement verdicts keyed by graph id; each
-    pair is refined on its own, so results are order-independent. Ids must
-    be distinct (ValueError)."""
+    """All-pairs hom-augmented refinement verdicts keyed by graph id. Each graph
+    is counted once, in order, and each pair refined on its own, so results are
+    order-independent; a lone graph is not counted. Ids must be distinct (ValueError)."""
     out: dict[tuple[str, str], Verdict] = {}
     for a in graphs:
         if (a.id, a.id) in out:
             raise ValueError(f"duplicate graph id {a.id!r}")
         out[(a.id, a.id)] = Verdict(False, None)
+    colors = [_hom_colors(g, patterns) for g in graphs] if len(graphs) > 1 else []
     for i, a in enumerate(graphs):
-        for b in graphs[i + 1:]:
-            _, _, verdict = f_wl(a, b, patterns)
+        for j, b in enumerate(graphs[i + 1:], start=i + 1):
+            verdict = graph_verdict(*wl_refine(a, b, colors[i], colors[j]))
             out[(a.id, b.id)] = out[(b.id, a.id)] = verdict
     return out

@@ -322,6 +322,31 @@ class TestFeatures:
         assert err == ("error: invalid: pattern id 'a\\nb' has a line break; "
                        "a log-z header line cannot hold it\n")
 
+    @pytest.mark.parametrize("normalize", ["none", "log-z"])
+    def test_repeated_pattern_id_exit_2(self, capsys, tmp_path, normalize):
+        # one column name per id: with two hom_p columns a log-z reader would
+        # take the second column's statistics for both
+        fig1 = str(tmp_path / "fig1.jsonl")
+        assert run(capsys, "gen", "--family", "fig1", "--output", fig1)[0] == 0
+        pats = write(tmp_path / "dup.json", json.dumps([
+            {"id": "p", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "root": 0},
+            {"id": "p", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "root": 0}]))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "features", fig1, "--patterns", pats,
+                             "--normalize", normalize, "--output", str(out_path))
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert err == "error: invalid: duplicate pattern id 'p'; each names one column\n"
+        # the commands that use patterns by position keep accepting the set
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        first, second = open(fig1).read().splitlines(keepends=True)
+        a.write_text(first, encoding="utf-8")
+        b.write_text(second, encoding="utf-8")
+        for argv in (["advise", "--patterns", pats, "--candidates", pats],
+                     ["wl", str(a), str(b), "--variant", "fwl", "--patterns", pats],
+                     ["witness", str(a), str(b), "--patterns", pats]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and json.loads(out)
+
     def test_byte_identical_across_threads(self, capsys, tmp_path, k3_file):
         import random
 
@@ -407,6 +432,59 @@ class TestBatchedFeatures:
         assert code == 0 and err == ""
         assert sizes and max(sizes) == 80
         assert out.count("\nstar,") == 901
+
+
+class TestDeterministicAcrossProcesses:
+    """Outputs do not depend on the string hash seed: ``features`` and
+    ``advise`` in child processes under two PYTHONHASHSEED values give the
+    same bytes. Labels are strings, one holding a comma."""
+
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path):
+        import os
+        import random
+        import subprocess
+        import sys
+
+        rng = random.Random(30)
+        names = ["C", "N,H", "O"]
+        lines = []
+        for i in range(25):
+            n = rng.randrange(4, 12)
+            edges = [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+            lines.append(json.dumps({"id": f"m{i}", "n": n, "edges": edges,
+                                     "labels": [rng.choice(names) for _ in range(n)]}))
+        dataset = write(tmp_path / "data.jsonl", "\n".join(lines) + "\n")
+        triangle = [[0, 1], [1, 2], [0, 2]]
+        square = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        patterns = write(tmp_path / "patterns.json", json.dumps([
+            {"id": "K3", "n": 3, "labels": ["C", "C", "N,H"], "edges": triangle, "root": 2},
+            {"id": "C4", "n": 4, "labels": ["C", "O", "C", "O"], "edges": square, "root": 0},
+            {"id": "L2", "n": 3, "labels": ["N,H", "C", "C"], "edges": [[0, 1], [1, 2]],
+             "root": 0},
+        ]))
+        candidates = write(tmp_path / "candidates.json", json.dumps([
+            {"id": "K3K3", "n": 5, "labels": ["N,H", "C", "C", "C", "C"],
+             "edges": triangle + [[0, 3], [0, 4], [3, 4]], "root": 0},
+            {"id": "K4", "n": 4, "edges": triangle + [[0, 3], [1, 3], [2, 3]], "root": 0},
+            {"id": "C4b", "n": 4, "labels": ["O", "C", "O", "C"], "edges": square, "root": 1},
+        ]))
+        commands = [
+            ["features", dataset, "--patterns", patterns, "--mode", "sub", "--normalize", "log-z"],
+            ["features", dataset, "--patterns", patterns, "--mode", "hom"],
+            ["advise", "--patterns", patterns, "--candidates", candidates],
+        ]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = {}
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            for i, argv in enumerate(commands):
+                done = subprocess.run([sys.executable, "-m", "homcount.cli", *argv], env=env,
+                                      capture_output=True, timeout=120)
+                assert (done.returncode, done.stderr) == (0, b"")
+                outputs.setdefault(i, set()).add(done.stdout)
+        assert all(len(got) == 1 for got in outputs.values())
+        assert b'"N,H"' in next(iter(outputs[0]))  # the comma label is quoted in the CSV
 
 
 class TestFeatureBytesPinned:

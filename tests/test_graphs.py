@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from homcount.graphs import (
 )
 
 from checks import refine
+from test_counting import graphs_strategy
 
 
 def build(n, edges, labels=None, gid="g"):
@@ -132,6 +134,73 @@ class TestParseGraph:
         assert a.labels == (0, 1)
         assert b.labels == (1, 0)
         assert alpha.label_of(0) == 7 and alpha.label_of(1) == 9
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+EDGE_ENTRIES = [  # (edge entry, accepted): booleans, floats and nesting are no vertex ids
+    ([0, 1], True), ([1, 0], True), ([Colour.RED, 0], True), ([0, Colour.RED], True),
+    ([True, 1], False), ([0, False], False), ([True, False], False),
+    ([0, 1.0], False), ([0.0, 1], False), ([[0], 1], False), ([0, [1]], False),
+    ([[0, 1]], False), ([0, 1, 0], False), ([0], False), ([], False),
+    ((0, 1), False), ("01", False), (1, False), (None, False), (["0", 1], False),
+]
+LABELS = [  # (label, accepted)
+    (0, True), (7, True), ("a,b", True), (Colour.RED, True),
+    (True, False), (False, False), (1.0, False), (None, False), ([1], False), ({"a": 1}, False),
+]
+
+
+class TestParsedEntries:
+    """parse_graph and parse_pattern accept and reject the same edge entries
+    and labels, whether the record comes as JSON text or as a decoded dict."""
+
+    @pytest.mark.parametrize("edge,accepted", EDGE_ENTRIES)
+    def test_edge_entries(self, edge, accepted):
+        for parse, extra in ((parse_graph, {}), (parse_pattern, {"root": 0})):
+            rec = {"id": "x", "n": 2, "edges": [edge], **extra}
+            if not accepted:
+                with pytest.raises(ParseError, match="malformed edge entry") as err:
+                    parse(rec)
+                assert err.value.field == "edges"
+                continue
+            got = parse(rec)
+            assert (got.graph if parse is parse_pattern else got).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("label,accepted", LABELS)
+    def test_labels(self, label, accepted):
+        for parse, extra in ((parse_graph, {}), (parse_pattern, {"root": 1})):
+            rec = {"id": "x", "n": 2, "labels": ["z", label], "edges": [[0, 1]], **extra}
+            alpha = LabelAlphabet()
+            if not accepted:
+                with pytest.raises(ParseError, match="is not a string or an integer") as err:
+                    parse(rec, alpha)
+                assert err.value.field == "labels"
+                continue
+            got = parse(rec, alpha)
+            assert (got.graph if parse is parse_pattern else got).labels == (0, 1)
+            assert alpha.label_of(1) == label
+
+    def test_json_text_and_dict_agree(self):
+        for edge, accepted in EDGE_ENTRIES:
+            if isinstance(edge, list) and Colour.RED not in edge:  # JSON holds no IntEnum
+                rec = {"id": "x", "n": 2, "edges": [edge], "root": 0}
+                for parse in (parse_graph, parse_pattern):
+                    if accepted:
+                        assert parse(json.dumps(rec)) == parse(rec)
+                    else:
+                        with pytest.raises(ParseError, match="malformed edge entry"):
+                            parse(json.dumps(rec))
+
+    def test_pattern_graph_is_the_graph_record(self):
+        rec = {"id": "k3", "n": 3, "labels": [2, 2, 5], "edges": [[1, 2], [0, 2], [0, 1]],
+               "root": 2}
+        alpha_g, alpha_p = LabelAlphabet(), LabelAlphabet()
+        p = parse_pattern(rec, alpha_p)
+        assert p.graph == parse_graph({k: v for k, v in rec.items() if k != "root"}, alpha_g)
+        assert p.root == 2 and "root" in rec  # the record is read, not changed
 
 
 class TestParsePattern:
@@ -282,6 +351,19 @@ class TestProperties:
             assert list(g.adjacency[v]) == sorted(g.adjacency[v])
         rebuilt = {(min(u, v), max(u, v)) for v in range(g.n) for u in g.adjacency[v]}
         assert rebuilt == set(g.edges)
+
+    @given(graphs_strategy(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_adjacency_equals_sorted_reference(self, g, data):
+        # each list fills in order from the sorted edges, so sorting it changes nothing
+        perm = data.draw(st.permutations(range(g.n)))
+        keep = data.draw(st.lists(st.sampled_from(range(g.n)), unique=True))
+        for h in (g, g.relabeled(perm), g.induced_subgraph(keep)):
+            nbrs = [[] for _ in range(h.n)]
+            for u, v in h.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            assert h.adjacency == tuple(tuple(sorted(b)) for b in nbrs)
 
     @given(graphs(max_n=6))
     @settings(max_examples=80, deadline=None)

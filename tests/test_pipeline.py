@@ -33,7 +33,8 @@ from homcount.pipeline import (
     EXACT_LIMIT,
     ColumnTransform,
     FeatureTable,
-    _column_stats,
+    _columns,
+    _stats,
     advise,
     compute_features,
     read_transforms,
@@ -169,7 +170,7 @@ class TestFeatures:
         assert total != math.fsum(xs)
         assert squares != math.fsum((x - mean) ** 2 for x in xs)
         rows = [("g", v, 0, (c,)) for v, c in enumerate((6, 7, 8))]
-        assert _column_stats(rows, 1) == [(mean, math.sqrt(squares / 2), False)]
+        assert list(map(_stats, _columns(rows, 1))) == [(mean, math.sqrt(squares / 2), False)]
 
     def test_round_trip_reconstruction(self):
         assert_reconstructs(synthetic_dataset(40, seed=7), [path_pattern(1), path_pattern(2)])
@@ -311,7 +312,7 @@ def feature_cases(draw):
     """(normalize, pattern ids, rows, stats rows or None, external labels or None)."""
     external = draw(st.none() | st.lists(TEXTS | st.integers(-3, 3), min_size=1, max_size=3,
                                          unique=True))
-    pattern_ids = draw(st.lists(NAMES, max_size=3))
+    pattern_ids = draw(st.lists(NAMES, max_size=3, unique=True))  # an id names one column
     rows = count_rows(len(pattern_ids), len(external) if external else 3)
     return (draw(st.sampled_from(["none", "log-z"])), pattern_ids, draw(rows),
             draw(st.none() | rows), external)
@@ -345,8 +346,8 @@ class TestPerCellReference:
         expected = reference_table(rows, pattern_ids, normalize, stat_rows)
         assert table.rows == rows
         stats_input = rows if stat_rows is None else stat_rows
-        assert _column_stats(stats_input, len(pattern_ids)) == checks.column_stats(
-            stats_input, len(pattern_ids))
+        assert list(map(_stats, _columns(stats_input, len(pattern_ids)))) == (
+            checks.column_stats(stats_input, len(pattern_ids)))
         alphabet = None
         if external is not None:
             alphabet = LabelAlphabet()

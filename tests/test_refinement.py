@@ -403,6 +403,47 @@ class TestMatrix:
         table = distinguishability_matrix([G2], [clique(3, root=0)])
         assert not table[("g2", "g2")].distinguished
 
+    def test_each_graph_counted_once(self, monkeypatch):
+        # 6 graphs make 15 pairs; counting per pair would take 30 counts
+        import homcount.refinement as refinement
+        from homcount.families import cycle_pattern, cycle_union_pair
+
+        pairs = (cycle_union_pair(3), cycle_union_pair(4))
+        graphs = [g for pair in pairs for g in (pair.g, pair.h)] + [G1, H1]
+        patterns = [cycle_pattern(3), cycle_pattern(4), clique(3, root=0)]
+        counted = []
+        real = refinement.hom_vector
+
+        def spy(pats, g, *args):
+            counted.append(g.id)
+            return real(pats, g, *args)
+
+        monkeypatch.setattr(refinement, "hom_vector", spy)
+        table = distinguishability_matrix(graphs, patterns)
+        assert counted == [g.id for g in graphs]
+        for a, b in itertools.combinations(graphs, 2):
+            want = f_wl(a, b, patterns)[2]
+            assert table[(a.id, b.id)] == table[(b.id, a.id)] == want
+        assert table[("g1", "h1")].distinguished
+        counted.clear()
+        distinguishability_matrix([G2], patterns)
+        assert counted == []  # a lone graph has no pair to refine
+
+    def test_first_overflowing_graph_raises(self, monkeypatch):
+        import homcount.refinement as refinement
+        from homcount.counting import CountOverflowError
+
+        real = refinement.hom_vector
+
+        def overflow_on_h(pats, g, *args):
+            if g.id.startswith("h"):
+                raise CountOverflowError(f"graph {g.id}")
+            return real(pats, g, *args)
+
+        monkeypatch.setattr(refinement, "hom_vector", overflow_on_h)
+        with pytest.raises(CountOverflowError, match="graph h2"):
+            distinguishability_matrix([G1, H2, H1], [clique(3, root=0)])
+
     def test_verdict_json_shape(self):
         v = Verdict(True, 1)
         assert v.to_json(("a", "b")) == {"pair": ["a", "b"], "distinguished": True, "round": 1}
